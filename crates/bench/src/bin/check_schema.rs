@@ -48,8 +48,6 @@ const STAT_KEYS: &[&str] = &[
     "shrink_time_s",
     "wall_s",
     "max_verify_conflicts",
-    "portfolio_races",
-    "portfolio_clauses_imported",
 ];
 
 /// Required keys of each embedded `SolverStats` block.
@@ -64,8 +62,6 @@ const SAT_KEYS: &[&str] = &[
     "strengthened_clauses",
     "failed_literals",
     "simplify_time_ns",
-    "portfolio_solves",
-    "portfolio_imported",
 ];
 
 /// Required keys of every histogram summary (`Histogram::summary_json`).
@@ -241,7 +237,6 @@ fn check_profile(file: &str, doc: &Json) {
         "shrink_ns",
         "assume_ns",
         "simplify_ns",
-        "portfolio_ns",
         "other_ns",
     ] {
         if c.get(key).and_then(Json::as_i64).is_none() {
@@ -264,13 +259,7 @@ fn check_profile(file: &str, doc: &Json) {
         );
     };
     for (i, it) in per_iter.iter().enumerate() {
-        for key in [
-            "total_ns",
-            "synth_ns",
-            "verify_ns",
-            "simplify_ns",
-            "portfolio_ns",
-        ] {
+        for key in ["total_ns", "synth_ns", "verify_ns", "simplify_ns"] {
             if it.get(key).and_then(Json::as_i64).is_none() {
                 fail(
                     file,
@@ -424,96 +413,6 @@ fn check_svc_bench(file: &str, doc: &Json) {
     );
 }
 
-/// Per-stats counters specific to batched CEGIS.  Required only in
-/// `cegis_bench` payloads — the committed full-budget `table*` baselines
-/// predate them, so the generic [`STAT_KEYS`] list must not grow.
-const BATCH_STAT_KEYS: &[&str] = &[
-    "batch_rounds",
-    "batch_candidates",
-    "batch_cex_harvested",
-    "cex_dup_dropped",
-];
-
-/// Validates a `cegis_bench` document (`results/cegis_bench.json`).
-fn check_cegis_bench(file: &str, doc: &Json) {
-    let Some(rows) = doc.get("rows").and_then(Json::as_arr) else {
-        fail(file, "missing array field \"rows\"".into());
-    };
-    for (i, r) in rows.iter().enumerate() {
-        if r.get("name").and_then(Json::as_str).is_none() {
-            fail(file, format!("rows[{i}] has no \"name\""));
-        }
-        if r.get("device").and_then(Json::as_str).is_none() {
-            fail(file, format!("rows[{i}].device missing or not a string"));
-        }
-        for leg in ["w1", "w2", "w4"] {
-            let Some(run) = r.get(leg) else {
-                fail(file, format!("rows[{i}] missing run object {leg:?}"));
-            };
-            if run.get("time_s").and_then(Json::as_f64).is_none() {
-                fail(
-                    file,
-                    format!("rows[{i}].{leg}.time_s missing or not a number"),
-                );
-            }
-            // Finished/timed-out legs carry a stats payload with the batch
-            // counters; hard failures carry `stats: null`.
-            if let Some(stats) = run.get("stats").filter(|s| s.as_obj().is_some()) {
-                for key in BATCH_STAT_KEYS {
-                    if stats.get(key).and_then(Json::as_i64).is_none() {
-                        fail(
-                            file,
-                            format!("rows[{i}].{leg}.stats.{key} missing or not an integer"),
-                        );
-                    }
-                }
-            }
-        }
-        let Some(calls) = r.get("synth_calls") else {
-            fail(file, format!("rows[{i}] missing object \"synth_calls\""));
-        };
-        for leg in ["w1", "w2", "w4"] {
-            if calls.get(leg).is_none() {
-                fail(file, format!("rows[{i}].synth_calls.{leg} missing"));
-            }
-        }
-    }
-    let Some(s) = doc.get("summary") else {
-        fail(file, "missing object field \"summary\"".into());
-    };
-    for key in [
-        "measured_pairs_w2",
-        "measured_pairs_w4",
-        "below_floor_cells",
-        "call_reduction_pairs_w2",
-        "call_reduction_pairs_w4",
-    ] {
-        if s.get(key).and_then(Json::as_i64).is_none() {
-            fail(file, format!("summary.{key} missing or not an integer"));
-        }
-    }
-    for key in [
-        "geomean_speedup_w2",
-        "geomean_speedup",
-        "geomean_call_reduction_w2",
-        "geomean_call_reduction_w4",
-    ] {
-        if s.get(key).and_then(Json::as_f64).is_none() {
-            fail(file, format!("summary.{key} missing or not a number"));
-        }
-    }
-    let stats = check_stats(file, doc);
-    let g = s
-        .get("geomean_call_reduction_w4")
-        .and_then(Json::as_f64)
-        .unwrap_or(1.0);
-    println!(
-        "check_schema: {file}: ok (cegis_bench: {} rows, {stats} stats payloads, \
-         geomean synth-call reduction {g:.2}x at w4)",
-        rows.len()
-    );
-}
-
 /// Validates a `solver_bench` document (`results/solver_bench.json`): the
 /// on/off rows with their stats payloads plus the summary's geomean and
 /// propagation-throughput rates.
@@ -647,7 +546,6 @@ fn check_results(file: &str, text: &str) {
         Some("profile") => return check_profile(file, &doc),
         Some("bench_diff") => return check_bench_diff(file, &doc),
         Some("svc_bench") => return check_svc_bench(file, &doc),
-        Some("cegis_bench") => return check_cegis_bench(file, &doc),
         Some("solver_bench") => return check_solver_bench(file, &doc),
         _ => {}
     }

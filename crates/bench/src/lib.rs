@@ -104,71 +104,6 @@ pub fn run_parserhawk_simplify(
     finish_run(r, t0.elapsed())
 }
 
-/// [`run_parserhawk`] with explicit control over the SAT portfolio — the
-/// `portfolio_bench` binary uses this to measure clause-sharing races at
-/// several widths on identical workloads.  `width < 2` disables the
-/// portfolio outright (the feature gate, not just width 1, so the solver
-/// never even snapshots); `cores` overrides the detected core count for the
-/// single-core clamp (CI smoke on small machines).
-pub fn run_parserhawk_portfolio(
-    spec: &ParserSpec,
-    device: &DeviceProfile,
-    timeout: Duration,
-    width: usize,
-    cores: Option<usize>,
-) -> RunResult {
-    // Opt7 racing would share the machine with the portfolio and blur the
-    // attribution, so it is off for both legs of this measurement.
-    let opts = OptConfig {
-        opt7_parallel: false,
-        portfolio: width >= 2,
-        ..OptConfig::all()
-    };
-    let t0 = Instant::now();
-    let r = Synthesizer::new(device.clone(), opts)
-        .with_params(SynthParams {
-            timeout: Some(timeout),
-            portfolio_width: (width >= 2).then_some(width),
-            portfolio_cores: cores,
-            cache: ph_svc::DiskCache::from_env(),
-            ..Default::default()
-        })
-        .synthesize(spec);
-    finish_run(r, t0.elapsed())
-}
-
-/// [`run_parserhawk`] with explicit control over batched CEGIS — the
-/// `cegis_bench` binary uses this to measure multi-candidate harvesting at
-/// several widths on identical workloads.  `width < 2` disables batching
-/// outright (the feature gate, so the run takes the exact sequential
-/// loop); `width >= 2` forces that batch width via
-/// [`SynthParams::batch_width`], piercing the single-core clamp.  Opt7
-/// racing and the SAT portfolio are off for every leg so the measured
-/// parallelism is batching alone.
-pub fn run_parserhawk_batch(
-    spec: &ParserSpec,
-    device: &DeviceProfile,
-    timeout: Duration,
-    width: usize,
-) -> RunResult {
-    let opts = OptConfig {
-        opt7_parallel: false,
-        portfolio: false,
-        batch: width >= 2,
-        ..OptConfig::all()
-    };
-    let t0 = Instant::now();
-    let r = Synthesizer::new(device.clone(), opts)
-        .with_params(SynthParams {
-            timeout: Some(timeout),
-            batch_width: (width >= 2).then_some(width),
-            cache: ph_svc::DiskCache::from_env(),
-            ..Default::default()
-        })
-        .synthesize(spec);
-    finish_run(r, t0.elapsed())
-}
-
 /// Shared result shaping for the ParserHawk runners.
 fn finish_run(r: Result<ph_core::SynthOutput, SynthError>, time: Duration) -> RunResult {
     match r {

@@ -1,10 +1,9 @@
-//! Determinism of the benchmark pipeline with the portfolio disabled.
+//! Determinism of the benchmark pipeline.
 //!
-//! With `PH_PORTFOLIO=0` (and equally: by default on a single core, where
-//! the clamp keeps every solve sequential) two identical `table3` runs must
-//! produce byte-identical `results/table3.json` once timing and provenance
-//! fields are scrubbed — wall-clock durations and the generation stamp are
-//! the only things allowed to differ between runs.
+//! Two identical `table3` runs in the default configuration must produce
+//! byte-identical `results/table3.json` once timing and provenance fields
+//! are scrubbed — wall-clock durations and the generation stamp are the
+//! only things allowed to differ between runs.
 
 use ph_obs::Json;
 use std::path::PathBuf;
@@ -55,30 +54,15 @@ fn scrub(v: &Json) -> Json {
 }
 
 fn run_table3(dir: &PathBuf) -> Json {
-    run_table3_batch(dir, None)
-}
-
-/// [`run_table3`] with explicit control over the `PH_BATCH` override
-/// (`None` removes it so the run is independent of the outer environment).
-fn run_table3_batch(dir: &PathBuf, batch: Option<&str>) -> Json {
     std::fs::create_dir_all(dir).unwrap();
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_table3"));
-    cmd.env("PH_PORTFOLIO", "0")
-        .env("PH_RESULTS_DIR", dir)
+    cmd.env("PH_RESULTS_DIR", dir)
         .env("PH_TABLE3_FILTER", "Parse Ethernet - R3")
         .env("PH_OPT_TIMEOUT_SECS", "60")
         // The naive encoding times out on every budget we can afford here;
         // keep that leg short — its stats are scrubbed as volatile anyway.
         .env("PH_ORIG_TIMEOUT_SECS", "1")
         .env_remove("PH_TRACE");
-    match batch {
-        Some(v) => {
-            cmd.env("PH_BATCH", v);
-        }
-        None => {
-            cmd.env_remove("PH_BATCH");
-        }
-    }
     let out = cmd.output().expect("table3 binary runs");
     assert!(
         out.status.success(),
@@ -90,7 +74,7 @@ fn run_table3_batch(dir: &PathBuf, batch: Option<&str>) -> Json {
 }
 
 #[test]
-fn table3_with_portfolio_killed_is_deterministic() {
+fn table3_is_deterministic() {
     let base = std::env::temp_dir().join(format!("ph-determinism-{}", std::process::id()));
     let a = run_table3(&base.join("a"));
     let b = run_table3(&base.join("b"));
@@ -99,89 +83,5 @@ fn table3_with_portfolio_killed_is_deterministic() {
         scrub(&a).to_pretty(),
         scrub(&b).to_pretty(),
         "two identical table3 runs diverged beyond timing/provenance fields"
-    );
-}
-
-/// `PH_BATCH=0` (the kill switch) and `PH_BATCH=1` (forced width 1) must
-/// both take the sequential CEGIS loop: byte-identical scrubbed results
-/// end to end, whatever the machine's core count.
-#[test]
-fn table3_batch_kill_switch_equals_width_one() {
-    let base = std::env::temp_dir().join(format!("ph-batch-det-{}", std::process::id()));
-    let killed = run_table3_batch(&base.join("k0"), Some("0"));
-    let w1 = run_table3_batch(&base.join("k1"), Some("1"));
-    let _ = std::fs::remove_dir_all(&base);
-    assert_eq!(
-        scrub(&killed).to_pretty(),
-        scrub(&w1).to_pretty(),
-        "PH_BATCH=0 and PH_BATCH=1 diverged beyond timing/provenance fields"
-    );
-}
-
-/// `batch_width = 1` must be the very same sequential path as batch-off:
-/// identical scrubbed run records, in process, on a real case.
-#[test]
-fn batch_width_one_equals_off() {
-    use ph_bench::{report, run_parserhawk_batch, RunResult};
-    use ph_core::{OptConfig, SynthParams, Synthesizer};
-    use std::time::{Duration, Instant};
-
-    let b = ph_benchmarks::suite::dash_v1();
-    let dev = ph_hw::DeviceProfile::tofino();
-    let budget = Duration::from_secs(60);
-    // Width < 2 through the helper is the feature gate: plain sequential.
-    let off = run_parserhawk_batch(&b.spec, &dev, budget, 0);
-    assert!(off.ok(), "{:?}", off.failure);
-    // Width 1 forced through the batch gate itself.
-    let t0 = Instant::now();
-    let out = Synthesizer::new(
-        dev.clone(),
-        OptConfig {
-            opt7_parallel: false,
-            portfolio: false,
-            ..OptConfig::all()
-        },
-    )
-    .with_params(SynthParams {
-        timeout: Some(budget),
-        batch_width: Some(1),
-        cache: ph_svc::DiskCache::from_env(),
-        ..Default::default()
-    })
-    .synthesize(&b.spec)
-    .expect("dash v1 synthesizes");
-    let w1 = RunResult {
-        entries: Some(out.program.entry_count()),
-        stages: Some(out.program.stages_used()),
-        space_bits: Some(out.stats.search_space_bits),
-        time: t0.elapsed(),
-        timed_out: false,
-        failure: None,
-        stats: Some(out.stats),
-    };
-    assert_eq!(
-        scrub(&report::run_json(&off, budget)).to_pretty(),
-        scrub(&report::run_json(&w1, budget)).to_pretty(),
-        "batch_width = 1 took a different path than batch-off"
-    );
-}
-
-/// Width 1 must be the very same sequential path as portfolio-off: identical
-/// scrubbed run records, in process, on a real case.
-#[test]
-fn portfolio_width_one_equals_off() {
-    use ph_bench::{report, run_parserhawk_portfolio};
-    use std::time::Duration;
-
-    let b = ph_benchmarks::suite::dash_v1();
-    let dev = ph_hw::DeviceProfile::tofino();
-    let budget = Duration::from_secs(60);
-    let off = run_parserhawk_portfolio(&b.spec, &dev, budget, 0, None);
-    let w1 = run_parserhawk_portfolio(&b.spec, &dev, budget, 1, None);
-    assert!(off.ok(), "{:?}", off.failure);
-    assert_eq!(
-        scrub(&report::run_json(&off, budget)).to_pretty(),
-        scrub(&report::run_json(&w1, budget)).to_pretty(),
-        "width 1 took a different path than portfolio-off"
     );
 }

@@ -68,16 +68,6 @@ pub struct OptConfig {
     pub opt6_fixed_varbit: bool,
     /// Opt7: race loop-aware and loop-free skeletons in parallel.
     pub opt7_parallel: bool,
-    /// Portfolio SAT solving: race diversified solver workers on hard
-    /// CEGIS queries and import the winner's learned clauses (see
-    /// [`ph_sat::Solver::solve_portfolio`]).
-    pub portfolio: bool,
-    /// Batched CEGIS: harvest several diverse candidates per synth solver
-    /// call (via scoped model-blocking clauses), verify them concurrently,
-    /// and feed every distinct counterexample back at once.  Width comes
-    /// from [`SynthParams::batch_width`] (auto on `None`, clamped to
-    /// sequential on 1 core); `PH_BATCH` in the environment overrides both.
-    pub batch: bool,
 }
 
 impl OptConfig {
@@ -91,8 +81,6 @@ impl OptConfig {
             opt5_grouping: true,
             opt6_fixed_varbit: true,
             opt7_parallel: true,
-            portfolio: true,
-            batch: true,
         }
     }
 
@@ -108,8 +96,6 @@ impl OptConfig {
             opt5_grouping: false,
             opt6_fixed_varbit: true,
             opt7_parallel: false,
-            portfolio: false,
-            batch: false,
         }
     }
 
@@ -197,23 +183,6 @@ pub struct SynthParams {
     /// streams from it); `None` inherits the ambient [`ph_obs::current`]
     /// tracer, which defaults to the `PH_TRACE` environment configuration.
     pub tracer: Option<ph_obs::Tracer>,
-    /// Portfolio width for hard SAT queries when [`OptConfig::portfolio`]
-    /// is on.  `None` (the default) divides the available cores by the
-    /// number of active Opt7 race branches; `Some(w)` forces width `w`.
-    /// Ignored (sequential) when the opt flag is off; `PH_PORTFOLIO` in
-    /// the environment overrides both.
-    pub portfolio_width: Option<usize>,
-    /// Testing hook: pretend the machine has this many cores for the
-    /// portfolio's single-core clamp and auto-width computation (the batch
-    /// width auto-computation and clamp use the same value).
-    pub portfolio_cores: Option<usize>,
-    /// Candidate batch width for batched CEGIS when [`OptConfig::batch`]
-    /// is on.  `None` (the default) picks `min(cores, 4)`, clamping to 1
-    /// (the exact sequential loop) on a single core; `Some(k)` forces
-    /// width `k` regardless of core count.  Ignored (sequential) when the
-    /// opt flag is off; `PH_BATCH` in the environment overrides both
-    /// (`PH_BATCH=0` is the kill switch).
-    pub batch_width: Option<usize>,
     /// Packet budget for the post-verification differential fuzzing gate
     /// ([`fuzz::check_e2e`]).  `0` (the default) disables the gate; the
     /// Fig. 22 random check in [`validate`] always runs.
@@ -236,9 +205,6 @@ impl Default for SynthParams {
             seed: 0x9aa5,
             simplify: true,
             tracer: None,
-            portfolio_width: None,
-            portfolio_cores: None,
-            batch_width: None,
             e2e_samples: 0,
             cache: None,
         }
@@ -264,9 +230,6 @@ pub struct RunHists {
 
 impl RunHists {
     /// Folds another set of histograms into this one (bucket-wise sums).
-    /// Batched CEGIS verifies candidates on worker threads that record
-    /// into thread-local hists and merge them back, so per-candidate
-    /// latencies keep feeding the p99s.
     pub fn merge(&mut self, other: &RunHists) {
         self.synth_query_ns.merge(&other.synth_query_ns);
         self.verify_query_ns.merge(&other.verify_query_ns);
@@ -295,10 +258,7 @@ pub struct SynthStats {
     pub cegis_iterations: usize,
     /// Test cases accumulated.
     pub test_cases: usize,
-    /// Counterexamples returned by verification.  Every failing candidate
-    /// counts here; duplicates within a batch are dropped before encoding
-    /// (see [`SynthStats::cex_dup_dropped`]), so
-    /// [`SynthStats::test_cases`] grows by the distinct ones only.
+    /// Counterexamples returned by verification.
     pub counterexamples: usize,
     /// Budget levels explored during minimization.
     pub budget_levels: usize,
@@ -330,23 +290,6 @@ pub struct SynthStats {
     /// The most conflicts any single verification query needed — the
     /// worst-case incremental `check_assuming` cost.
     pub max_verify_conflicts: u64,
-    /// Portfolio races run across both SAT engines (hard queries escalated
-    /// to diversified parallel workers).
-    pub portfolio_races: u64,
-    /// Learned clauses imported back from winning portfolio workers.
-    pub portfolio_clauses_imported: u64,
-    /// Synth-phase Sat results that opened a candidate-harvest round
-    /// (batched CEGIS with effective width >= 2; 0 when sequential).
-    pub batch_rounds: u64,
-    /// Candidates harvested across all batch rounds, counting the round's
-    /// first model — so a round that finds no diverse sibling adds 1.
-    pub batch_candidates: u64,
-    /// Counterexamples contributed by harvested (non-first) candidates —
-    /// the extra information per synth solver call that batching buys.
-    pub batch_cex_harvested: u64,
-    /// Counterexamples dropped as duplicates of an already-encoded test
-    /// case before reaching the synth solver.
-    pub cex_dup_dropped: u64,
     /// 1 when this output was served from the synthesis-result cache
     /// ([`SynthParams::cache`]); the other counters then describe the
     /// *original* run that populated the entry.
@@ -372,8 +315,6 @@ fn solver_stats_json(s: &SolverStats) -> Json {
         .with("strengthened_clauses", s.strengthened_clauses)
         .with("failed_literals", s.failed_literals)
         .with("simplify_time_ns", s.simplify_time_ns)
-        .with("portfolio_solves", s.portfolio_solves)
-        .with("portfolio_imported", s.portfolio_imported)
         .with("arena_gcs", s.arena_gcs)
         .with("arena_bytes", s.arena_bytes)
 }
@@ -399,15 +340,6 @@ impl SynthStats {
             .with("synth_sat", solver_stats_json(&self.synth_sat))
             .with("verify_sat", solver_stats_json(&self.verify_sat))
             .with("max_verify_conflicts", self.max_verify_conflicts)
-            .with("portfolio_races", self.portfolio_races)
-            .with(
-                "portfolio_clauses_imported",
-                self.portfolio_clauses_imported,
-            )
-            .with("batch_rounds", self.batch_rounds)
-            .with("batch_candidates", self.batch_candidates)
-            .with("batch_cex_harvested", self.batch_cex_harvested)
-            .with("cex_dup_dropped", self.cex_dup_dropped)
             .with("cache_hits", self.cache_hits)
             .with("cache_misses", self.cache_misses)
             .with("hists", self.hists.to_json())

@@ -39,35 +39,15 @@ pub fn synthesize_racing(
     }
     // The paper's server pool assigns one core per sub-problem; on a
     // single-core machine racing only multiplies work, so fall back to the
-    // loop-free skeleton (the natural fit for a loop-free spec).
-    let cores = params.portfolio_cores.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    });
+    // loop-free skeleton (the natural fit for a loop-free spec).  This is
+    // the engine's only core-count decision: each branch runs the
+    // sequential CEGIS loop on one thread.
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     if cores < 2 {
         return synthesize_one(spec, device, opts, params, LoopMode::LoopFree, None);
     }
-
-    // Core-budget split against the SAT portfolio: the two race branches
-    // divide the machine, so each branch's portfolio (if it wasn't sized
-    // explicitly) gets half the cores.  With 2–3 cores that yields width 1,
-    // i.e. the portfolio stays off while Opt7 is racing — the race itself
-    // is the parallelism.
-    let branch_portfolio_width = params.portfolio_width.unwrap_or_else(|| (cores / 2).max(1));
-
-    // Batched CEGIS splits the same halved core budget: each branch's
-    // candidate batch (if it wasn't sized explicitly) gets the branch's
-    // core share, with the auto clamp keeping 2–3-core machines on the
-    // sequential loop inside each branch.
-    let branch_batch_width = params.batch_width.unwrap_or_else(|| {
-        let share = (cores / 2).max(1);
-        if share < 2 {
-            1
-        } else {
-            share.min(4)
-        }
-    });
 
     let flag_free = Arc::new(AtomicBool::new(false));
     let flag_loopy = Arc::new(AtomicBool::new(false));
@@ -90,8 +70,6 @@ pub fn synthesize_racing(
                 // under synthesize_one (cegis, smt) inherits it.
                 let mut branch_params = params.clone();
                 branch_params.tracer = Some(branch_tracer.clone());
-                branch_params.portfolio_width = Some(branch_portfolio_width);
-                branch_params.batch_width = Some(branch_batch_width);
                 let _g = ph_obs::set_thread_tracer(branch_tracer.clone());
                 let r = synthesize_one(spec, device, opts, &branch_params, mode, Some(mine));
                 if r.is_ok() {

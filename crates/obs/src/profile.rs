@@ -12,8 +12,8 @@
 //!   serializes directly to inferno/flamegraph.pl-compatible folded
 //!   stacks ([`Profile::folded`]).
 //! * **CEGIS breakdown** — how each iteration's wall time splits across
-//!   synth / verify / shrink, with nested CNF-simplification and
-//!   portfolio-race time attributed to their enclosing iteration
+//!   synth / verify / shrink, with nested CNF-simplification time
+//!   attributed to its enclosing iteration
 //!   ([`CegisProfile`]); the instrumentation in `ph-core` is arranged so
 //!   those three phases cover the `cegis.run` total to within ~1%.
 //!
@@ -72,8 +72,6 @@ pub struct IterRow {
     pub verify_ns: u64,
     /// CNF simplification inside this iteration (`sat.simplify`).
     pub simplify_ns: u64,
-    /// Portfolio races inside this iteration (`portfolio.solve`).
-    pub portfolio_ns: u64,
 }
 
 /// The synth/verify/shrink critical-path breakdown of the `cegis.run`
@@ -96,8 +94,6 @@ pub struct CegisProfile {
     pub assume_ns: u64,
     /// Total `sat.simplify` time under `cegis.run`.
     pub simplify_ns: u64,
-    /// Total `portfolio.solve` time under `cegis.run`.
-    pub portfolio_ns: u64,
     /// `total_ns` minus everything instrumented above (loop control,
     /// span bookkeeping): what the profile *cannot* attribute.
     pub other_ns: u64,
@@ -231,9 +227,8 @@ impl Profile {
             );
             let _ = writeln!(
                 out,
-                "  nested: simplify {:.3} ms, portfolio {:.3} ms; unattributed {:.3} ms; phase coverage {:.2}%",
+                "  nested: simplify {:.3} ms; unattributed {:.3} ms; phase coverage {:.2}%",
                 c.simplify_ns as f64 / 1e6,
-                c.portfolio_ns as f64 / 1e6,
                 c.other_ns as f64 / 1e6,
                 c.coverage_pct(),
             );
@@ -288,7 +283,6 @@ impl Profile {
                     .with("synth_ns", r.synth_ns)
                     .with("verify_ns", r.verify_ns)
                     .with("simplify_ns", r.simplify_ns)
-                    .with("portfolio_ns", r.portfolio_ns)
             })
             .collect();
         Json::obj()
@@ -319,7 +313,6 @@ impl Profile {
                     .with("shrink_ns", c.shrink_ns)
                     .with("assume_ns", c.assume_ns)
                     .with("simplify_ns", c.simplify_ns)
-                    .with("portfolio_ns", c.portfolio_ns)
                     .with("other_ns", c.other_ns)
                     .with("coverage_pct", c.coverage_pct())
                     .with("per_iter", Json::Arr(per_iter))
@@ -539,14 +532,13 @@ impl Profiler {
             "cegis.shrink" => c.shrink_ns += dur,
             "cegis.assume" => c.assume_ns += dur,
             "sat.simplify" => c.simplify_ns += dur,
-            "portfolio.solve" => c.portfolio_ns += dur,
             _ => {}
         }
         // Per-iteration nested attribution: credit the nearest open
         // cegis.iter ancestor.
         if matches!(
             frame.name.as_str(),
-            "cegis.synth" | "cegis.verify" | "sat.simplify" | "portfolio.solve"
+            "cegis.synth" | "cegis.verify" | "sat.simplify"
         ) {
             let mut cur = frame.parent;
             while let Some(pid) = cur {
@@ -557,7 +549,6 @@ impl Profiler {
                                 "cegis.synth" => row.synth_ns += dur,
                                 "cegis.verify" => row.verify_ns += dur,
                                 "sat.simplify" => row.simplify_ns += dur,
-                                "portfolio.solve" => row.portfolio_ns += dur,
                                 _ => {}
                             }
                             break;
@@ -698,12 +689,12 @@ mod tests {
             r#"{"t_ns":0,"ev":"enter","span":"cegis.run","id":1}"#,
             r#"{"t_ns":1,"ev":"enter","span":"cegis.assume","id":2,"parent":1}"#,
             r#"{"t_ns":3,"ev":"exit","span":"cegis.assume","id":2,"parent":1,"dur_ns":2}"#,
-            // iter 1: synth 50 (30 of it portfolio), verify 40
+            // iter 1: synth 50 (30 of it simplification), verify 40
             r#"{"t_ns":10,"ev":"enter","span":"cegis.iter","id":3,"parent":1}"#,
             r#"{"t_ns":11,"ev":"enter","span":"cegis.synth","id":4,"parent":3}"#,
             r#"{"t_ns":20,"ev":"enter","span":"smt.check","id":5,"parent":4}"#,
-            r#"{"t_ns":21,"ev":"enter","span":"portfolio.solve","id":6,"parent":5}"#,
-            r#"{"t_ns":51,"ev":"exit","span":"portfolio.solve","id":6,"parent":5,"dur_ns":30}"#,
+            r#"{"t_ns":21,"ev":"enter","span":"sat.simplify","id":6,"parent":5}"#,
+            r#"{"t_ns":51,"ev":"exit","span":"sat.simplify","id":6,"parent":5,"dur_ns":30}"#,
             r#"{"t_ns":55,"ev":"exit","span":"smt.check","id":5,"parent":4,"dur_ns":35}"#,
             r#"{"t_ns":61,"ev":"exit","span":"cegis.synth","id":4,"parent":3,"dur_ns":50}"#,
             r#"{"t_ns":62,"ev":"enter","span":"cegis.verify","id":7,"parent":3}"#,
@@ -729,12 +720,12 @@ mod tests {
         assert_eq!(c.verify_ns, 40);
         assert_eq!(c.shrink_ns, 30);
         assert_eq!(c.assume_ns, 2);
-        assert_eq!(c.portfolio_ns, 30);
+        assert_eq!(c.simplify_ns, 30);
         // other = 180 - (70+40+30+2) = 38
         assert_eq!(c.other_ns, 38);
         let [i1, i2] = [&c.per_iter[0], &c.per_iter[1]];
         assert_eq!((i1.total_ns, i1.synth_ns, i1.verify_ns), (95, 50, 40));
-        assert_eq!(i1.portfolio_ns, 30);
+        assert_eq!(i1.simplify_ns, 30);
         assert_eq!((i2.total_ns, i2.synth_ns, i2.verify_ns), (25, 20, 0));
         assert!(!c.per_iter_capped);
         let cov = c.coverage_pct();

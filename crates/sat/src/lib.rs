@@ -37,11 +37,9 @@
 mod arena;
 mod dimacs;
 mod lit;
-mod portfolio;
 mod simplify;
 mod solver;
 
 pub use dimacs::{dump_cnf_if_requested, parse_dimacs, write_dimacs};
 pub use lit::{Lit, Var};
-pub use portfolio::{SolverSnapshot, WorkerReport};
 pub use solver::{SolveResult, Solver, SolverStats};

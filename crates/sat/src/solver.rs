@@ -86,11 +86,6 @@ pub struct SolverStats {
     pub failed_literals: u64,
     /// Wall-clock time spent inside [`Solver::simplify`], in nanoseconds.
     pub simplify_time_ns: u64,
-    /// Hard calls escalated to a portfolio race
-    /// (see [`Solver::solve_portfolio`]).
-    pub portfolio_solves: u64,
-    /// Learned clauses imported from winning portfolio workers.
-    pub portfolio_imported: u64,
     /// Mark-compact collections of the clause arena.
     pub arena_gcs: u64,
     /// Current clause-arena size in bytes (a level, not a counter).
@@ -115,19 +110,10 @@ impl SolverStats {
             strengthened_clauses: self.strengthened_clauses - earlier.strengthened_clauses,
             failed_literals: self.failed_literals - earlier.failed_literals,
             simplify_time_ns: self.simplify_time_ns - earlier.simplify_time_ns,
-            portfolio_solves: self.portfolio_solves - earlier.portfolio_solves,
-            portfolio_imported: self.portfolio_imported - earlier.portfolio_imported,
             arena_gcs: self.arena_gcs - earlier.arena_gcs,
             arena_bytes: self.arena_bytes.saturating_sub(earlier.arena_bytes),
         }
     }
-}
-
-/// True when `PH_SAT_TIERS=0`: fall back to the pre-tier single-policy
-/// learned-clause reduction (activity/LBD over the whole database).
-pub(crate) fn tiers_disabled_by_env() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| matches!(std::env::var("PH_SAT_TIERS").as_deref(), Ok("0")))
 }
 
 /// `PH_SAT_GC_LIMIT` override of the GC waste fraction (a float; `0` forces
@@ -144,6 +130,12 @@ fn gc_limit_from_env() -> Option<f64> {
 /// Default GC trigger: collect when tombstoned words exceed this fraction
 /// of the arena.
 const GC_WASTE_FRAC_DEFAULT: f64 = 0.25;
+
+/// VSIDS activity decay factor.
+const VAR_DECAY: f64 = 0.95;
+
+/// Base conflict interval of the Luby restart schedule.
+const RESTART_SCALE: u64 = 100;
 
 /// A tier2 clause untouched for this many conflicts is demoted to the
 /// aggressively-reduced local tier.
@@ -189,9 +181,6 @@ pub struct Solver {
     /// level.
     lbd_stamp: Vec<u64>,
     lbd_counter: u64,
-    /// Three-tier learnt database on (true) vs. the legacy single policy
-    /// (`PH_SAT_TIERS=0`).
-    tiers_enabled: bool,
     /// GC triggers when tombstoned words exceed this fraction of the arena.
     gc_waste_frac: f64,
     /// Conflict budget for the next solve (None = unlimited).
@@ -226,22 +215,6 @@ pub struct Solver {
     pub(crate) max_call_conflicts: u64,
     /// Round-robin cursor for failed-literal probing.
     pub(crate) probe_cursor: usize,
-    /// VSIDS decay factor; portfolio workers diversify it.
-    pub(crate) var_decay: f64,
-    /// Base conflict interval of the Luby restart schedule; portfolio
-    /// workers diversify it.
-    pub(crate) restart_scale: u64,
-    /// Worker count for [`Solver::solve_portfolio`]; below 2 the portfolio
-    /// is off and `solve_portfolio` is a plain `solve_with_assumptions`.
-    pub(crate) portfolio_width: usize,
-    /// Conflicts a call must accumulate (the hardness gate, mirroring the
-    /// simplification scheduler's threshold) before it escalates to a race.
-    pub(crate) portfolio_min_conflicts: u64,
-    /// Testing hook: pretend the machine has this many cores when deciding
-    /// whether a race is worthwhile (`None` = ask the OS).
-    pub(crate) portfolio_cores: Option<usize>,
-    /// Per-worker reports from the most recent portfolio race.
-    pub(crate) last_portfolio: Vec<crate::portfolio::WorkerReport>,
 }
 
 const HEAP_NONE: usize = usize::MAX;
@@ -280,7 +253,6 @@ impl Solver {
             // Slot for decision level 0; one more per variable.
             lbd_stamp: vec![0],
             lbd_counter: 0,
-            tiers_enabled: !tiers_disabled_by_env(),
             gc_waste_frac: gc_limit_from_env().unwrap_or(GC_WASTE_FRAC_DEFAULT),
             budget: None,
             interrupt: None,
@@ -295,12 +267,6 @@ impl Solver {
             inprocess_gap: crate::simplify::INPROCESS_GAP_INIT,
             max_call_conflicts: 0,
             probe_cursor: 0,
-            var_decay: 0.95,
-            restart_scale: 100,
-            portfolio_width: 0,
-            portfolio_min_conflicts: crate::simplify::PREPROCESS_MIN_CONFLICTS,
-            portfolio_cores: None,
-            last_portfolio: Vec::new(),
         }
     }
 
@@ -352,13 +318,6 @@ impl Solver {
     #[doc(hidden)]
     pub fn force_gc(&mut self) {
         self.arena_gc();
-    }
-
-    /// Testing hook: toggles the tiered learnt database (the `PH_SAT_TIERS`
-    /// kill switch sets the same flag process-wide).
-    #[doc(hidden)]
-    pub fn set_tiers(&mut self, on: bool) {
-        self.tiers_enabled = on && !tiers_disabled_by_env();
     }
 
     /// Limits the next `solve` call to roughly `conflicts` conflicts; the
@@ -769,7 +728,7 @@ impl Solver {
     }
 
     fn decay_var_activity(&mut self) {
-        self.var_inc /= self.var_decay;
+        self.var_inc /= VAR_DECAY;
     }
 
     /// Bumps a learnt clause that took part in conflict analysis: activity,
@@ -796,11 +755,9 @@ impl Solver {
         let lbd = self.clause_lbd(cref);
         if lbd < self.arena.lbd(cref) {
             self.arena.set_lbd(cref, lbd);
-            if self.tiers_enabled {
-                let t = tier_for_lbd(lbd);
-                if t < self.arena.tier(cref) {
-                    self.arena.set_tier(cref, t);
-                }
+            let t = tier_for_lbd(lbd);
+            if t < self.arena.tier(cref) {
+                self.arena.set_tier(cref, t);
             }
         }
     }
@@ -866,31 +823,6 @@ impl Solver {
         Some(top)
     }
 
-    /// Seeds every saved phase with `val` (portfolio polarity diversification).
-    pub(crate) fn set_all_phases(&mut self, val: bool) {
-        for p in self.phase.iter_mut() {
-            *p = val;
-        }
-    }
-
-    /// Seeds every saved phase from `rng`.
-    pub(crate) fn randomize_phases(&mut self, rng: &mut ph_bits::Rng) {
-        for p in self.phase.iter_mut() {
-            *p = rng.gen_bool(0.5);
-        }
-    }
-
-    /// Replaces all variable activities with random values in `[0, 1)` and
-    /// re-heapifies, so a worker explores the space in a different order.
-    pub(crate) fn randomize_activity(&mut self, rng: &mut ph_bits::Rng) {
-        for a in self.activity.iter_mut() {
-            *a = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        }
-        for i in (0..self.heap.len() / 2).rev() {
-            self.heap_down(i);
-        }
-    }
-
     fn pick_branch_var(&mut self) -> Option<Var> {
         while let Some(v) = self.heap_pop() {
             if self.assigns[v.index()] == LBool::Undef && !self.eliminated[v.index()] {
@@ -912,22 +844,10 @@ impl Solver {
         self.lit_lbool(l0) == LBool::True && self.reason[l0.var().index()] == cref
     }
 
-    fn reduce_db(&mut self) {
-        if self.tiers_enabled {
-            self.reduce_db_tiered();
-        } else {
-            self.reduce_db_legacy();
-        }
-        // Prune tombstoned refs so the list does not accumulate garbage.
-        let arena = &self.arena;
-        self.learnts.retain(|&c| !arena.is_deleted(c));
-        self.learnt_since_reduce = 0;
-    }
-
     /// Three-tier policy: core (LBD ≤ 3) is kept forever, tier2 (mid-LBD)
     /// survives while recently used in conflicts and is demoted when stale,
     /// and only the local tier is sorted and halved.
-    fn reduce_db_tiered(&mut self) {
+    fn reduce_db(&mut self) {
         let conflicts = self.stats.conflicts;
         for i in 0..self.learnts.len() {
             let c = self.learnts[i];
@@ -969,41 +889,10 @@ impl Solver {
             self.delete_clause(cref);
             deleted += 1;
         }
-    }
-
-    /// The pre-tier policy (`PH_SAT_TIERS=0`): one activity/LBD ranking
-    /// over the whole learnt database, worst half deleted, glue clauses
-    /// (LBD ≤ 3) always spared.
-    fn reduce_db_legacy(&mut self) {
-        let mut cands: Vec<ClauseRef> = self
-            .learnts
-            .iter()
-            .copied()
-            .filter(|&c| !self.arena.is_deleted(c) && self.arena.len(c) > 2)
-            .collect();
-        cands.sort_by(|&a, &b| {
-            self.arena.lbd(b).cmp(&self.arena.lbd(a)).then(
-                self.arena
-                    .activity(a)
-                    .partial_cmp(&self.arena.activity(b))
-                    .unwrap_or(std::cmp::Ordering::Equal),
-            )
-        });
-        let to_delete = cands.len() / 2;
-        let mut deleted = 0;
-        for &cref in &cands {
-            if deleted >= to_delete {
-                break;
-            }
-            if self.arena.lbd(cref) <= 3 {
-                continue; // keep glue clauses
-            }
-            if self.is_locked(cref) {
-                continue;
-            }
-            self.delete_clause(cref);
-            deleted += 1;
-        }
+        // Prune tombstoned refs so the list does not accumulate garbage.
+        let arena = &self.arena;
+        self.learnts.retain(|&c| !arena.is_deleted(c));
+        self.learnt_since_reduce = 0;
     }
 
     // ----- arena garbage collection ------------------------------------
@@ -1112,7 +1001,7 @@ impl Solver {
 
         let mut conflicts_this_call: u64 = 0;
         let mut restart_idx: u64 = 0;
-        let mut restart_budget = self.restart_scale * luby(restart_idx);
+        let mut restart_budget = RESTART_SCALE * luby(restart_idx);
 
         loop {
             if let Some(confl) = self.propagate() {
@@ -1158,7 +1047,7 @@ impl Solver {
                 }
                 if conflicts_this_call >= restart_budget {
                     restart_idx += 1;
-                    restart_budget = conflicts_this_call + self.restart_scale * luby(restart_idx);
+                    restart_budget = conflicts_this_call + RESTART_SCALE * luby(restart_idx);
                     self.stats.restarts += 1;
                     self.cancel_until(0);
                     // Inprocessing: re-run the simplifier between restarts

@@ -1,6 +1,5 @@
 //! Clause-arena regression tests: bounded memory under long incremental
-//! churn, relocation correctness under a forced GC, and the tiered learnt
-//! database's kill switch.
+//! churn and relocation correctness under a forced GC.
 //!
 //! The arena deletes by tombstone and reclaims by mark-compact GC, so the
 //! user-visible guarantee these tests pin is *boundedness*: a long-lived
@@ -8,7 +7,7 @@
 //! without bound even though every simplification pass and learnt-database
 //! reduction leaves garbage behind.
 
-use ph_sat::{parse_dimacs, write_dimacs, Lit, SolveResult, Solver, Var};
+use ph_sat::{parse_dimacs, write_dimacs, Lit, Solver, Var};
 
 type RClause = Vec<(usize, bool)>;
 
@@ -174,33 +173,5 @@ fn dimacs_round_trip_survives_forced_gc() {
         // And writing again after the round trip is byte-stable.
         s2.force_gc();
         assert_eq!(write_dimacs(&s2), out, "round {round}: unstable output");
-    }
-}
-
-/// The tiered learnt database must agree verdict-for-verdict with the
-/// legacy single-policy reduction (`PH_SAT_TIERS=0` path, reached here via
-/// the test hook so the env-independent suite covers both policies).
-#[test]
-fn tiered_and_legacy_reduction_agree() {
-    let mut rng = ph_bits::Rng::seed_from_u64(0x7137_ed00);
-    for round in 0..60 {
-        let nv = rng.gen_range(8..=20usize);
-        let nc = rng.gen_range(nv * 3..=nv * 5);
-        let clauses = random_clauses(&mut rng, nv, nc, 3);
-        let run = |tiers: bool| {
-            let mut s = Solver::new();
-            let vars: Vec<Var> = (0..nv).map(|_| s.new_var()).collect();
-            s.set_tiers(tiers);
-            for c in &clauses {
-                if !s.add_clause(c.iter().map(|&(v, neg)| Lit::new(vars[v], neg))) {
-                    break;
-                }
-            }
-            s.solve_with_assumptions(&[])
-        };
-        let tiered = run(true);
-        let legacy = run(false);
-        assert_ne!(tiered, SolveResult::Unknown);
-        assert_eq!(tiered, legacy, "round {round}: policies disagree");
     }
 }

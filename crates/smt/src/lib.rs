@@ -156,32 +156,6 @@ impl Smt {
         self.sat.simplify_enabled()
     }
 
-    /// Sets the portfolio width for hard checks (see
-    /// [`ph_sat::Solver::solve_portfolio`]).  Below 2 every check runs
-    /// sequentially; `PH_PORTFOLIO` in the environment overrides this
-    /// (`0` kills the portfolio, `N` forces width `N`).
-    ///
-    /// Clause import is safe here by construction: workers race on a
-    /// snapshot of this solver's own clause database (including scope
-    /// selector guards) and never allocate variables, so everything a
-    /// winner returns is over master-visible variables — the blaster
-    /// freezes every cached literal and the import path re-checks against
-    /// eliminated variables defensively.
-    pub fn set_portfolio_width(&mut self, width: usize) {
-        self.sat.set_portfolio_width(width);
-    }
-
-    /// The configured portfolio width (before the environment override).
-    pub fn portfolio_width(&self) -> usize {
-        self.sat.portfolio_width()
-    }
-
-    /// Testing hook, see [`ph_sat::Solver::set_portfolio_cores`].
-    #[doc(hidden)]
-    pub fn set_portfolio_cores(&mut self, cores: Option<usize>) {
-        self.sat.set_portfolio_cores(cores);
-    }
-
     /// Hint that `t`'s literals are externally visible: blasts the term now
     /// (if not already lowered) and freezes its bits against variable
     /// elimination.
@@ -445,25 +419,6 @@ impl Smt {
         self.scopes.len()
     }
 
-    /// Blocks the current model's assignment to `vars`: asserts that at
-    /// least one of them takes a different value on future checks.
-    ///
-    /// Reads each variable's value from the model of the last `Sat` check
-    /// and asserts the disjunction of disequalities.  Asserted in the
-    /// innermost open scope, so a `push`/`pop` pair around an enumeration
-    /// discards all blocks at once.  With an empty `vars` the blocking
-    /// clause is `false`, making the scope unsatisfiable.
-    pub fn block_model(&mut self, vars: &[Term]) {
-        let mut diffs = Vec::with_capacity(vars.len());
-        for &v in vars {
-            let val = self.model_value(v);
-            let c = self.const_bits(val);
-            diffs.push(self.ne(v, c));
-        }
-        let clause = self.or_all(&diffs);
-        self.assert(clause);
-    }
-
     /// Checks satisfiability of the asserted formula.
     pub fn check(&mut self) -> SmtResult {
         self.check_assuming(&[])
@@ -490,9 +445,7 @@ impl Smt {
         // Open scopes activate their guarded clauses via their selectors.
         lits.extend(self.scopes.iter().copied());
         ph_sat::dump_cnf_if_requested(&self.sat, &lits);
-        // Portfolio-aware solve: easy checks (or width < 2) take the plain
-        // sequential path inside; hard checks race diversified workers.
-        let result = match self.sat.solve_portfolio(&lits) {
+        let result = match self.sat.solve_with_assumptions(&lits) {
             SolveResult::Sat => SmtResult::Sat,
             SolveResult::Unsat => SmtResult::Unsat,
             SolveResult::Unknown => SmtResult::Unknown,

@@ -12,9 +12,8 @@
 //!   hardware);
 //! * the full [`OptConfig`] and the result-determining [`SynthParams`]
 //!   fields (`max_cegis_iters`, `max_loop_iters`, `spare_states`, `seed`,
-//!   `simplify`, `portfolio_width`).  `timeout`, tracing and portfolio
-//!   core counts change how long a run takes, never what it produces, and
-//!   are excluded;
+//!   `simplify`).  `timeout` and tracing change how long a run takes,
+//!   never what it produces, and are excluded;
 //! * [`CACHE_FORMAT_VERSION`], so a format change invalidates every old
 //!   entry at once.
 //!
@@ -46,7 +45,7 @@ use std::time::SystemTime;
 
 /// Bumped whenever the entry layout or key derivation changes; old
 /// entries then read as stale and are recomputed.
-pub const CACHE_FORMAT_VERSION: u32 = 2;
+pub const CACHE_FORMAT_VERSION: u32 = 3;
 
 /// Environment variable naming the cache directory.  Unset or empty means
 /// no cache.
@@ -144,7 +143,7 @@ impl DiskCache {
         let b = |v: bool| u8::from(v);
         let _ = writeln!(
             pre,
-            "opts o1={} o2={} o3={} o4={} o5={} o6={} o7={} pf={} bt={}",
+            "opts o1={} o2={} o3={} o4={} o5={} o6={} o7={}",
             b(opts.opt1_spec_keys),
             b(opts.opt2_bitwidth),
             b(opts.opt3_prealloc),
@@ -152,22 +151,15 @@ impl DiskCache {
             b(opts.opt5_grouping),
             b(opts.opt6_fixed_varbit),
             b(opts.opt7_parallel),
-            b(opts.portfolio),
-            b(opts.batch),
         );
-        // Batching changes the CEGIS trajectory (which candidates are seen,
-        // which counterexamples accumulate), so the batch width is
-        // result-determining just like the iteration caps.
         let _ = writeln!(
             pre,
-            "params cegis={} loop={} spare={:?} seed={} simplify={} pw={:?} bw={:?}",
+            "params cegis={} loop={} spare={:?} seed={} simplify={}",
             params.max_cegis_iters,
             params.max_loop_iters,
             params.spare_states,
             params.seed,
             b(params.simplify),
-            params.portfolio_width,
-            params.batch_width,
         );
         Sha256::digest_hex(pre.as_bytes())
     }

@@ -426,8 +426,6 @@ fn solver_stats_from_json(j: &Json) -> Result<SolverStats, CodecError> {
         strengthened_clauses: get_u64(j, "strengthened_clauses")?,
         failed_literals: get_u64(j, "failed_literals")?,
         simplify_time_ns: get_u64(j, "simplify_time_ns")?,
-        portfolio_solves: get_u64(j, "portfolio_solves")?,
-        portfolio_imported: get_u64(j, "portfolio_imported")?,
         // Arena counters postdate some cached payloads; default to zero so
         // old cache entries stay decodable.
         arena_gcs: get_u64(j, "arena_gcs").unwrap_or(0),
@@ -459,12 +457,6 @@ pub fn stats_from_json(j: &Json) -> Result<SynthStats, CodecError> {
         synth_sat: solver_stats_from_json(get(j, "synth_sat")?)?,
         verify_sat: solver_stats_from_json(get(j, "verify_sat")?)?,
         max_verify_conflicts: get_u64(j, "max_verify_conflicts")?,
-        portfolio_races: get_u64(j, "portfolio_races")?,
-        portfolio_clauses_imported: get_u64(j, "portfolio_clauses_imported")?,
-        batch_rounds: get_u64(j, "batch_rounds").unwrap_or(0),
-        batch_candidates: get_u64(j, "batch_candidates").unwrap_or(0),
-        batch_cex_harvested: get_u64(j, "batch_cex_harvested").unwrap_or(0),
-        cex_dup_dropped: get_u64(j, "cex_dup_dropped").unwrap_or(0),
         cache_hits: get_u64(j, "cache_hits").unwrap_or(0),
         cache_misses: get_u64(j, "cache_misses").unwrap_or(0),
         hists: Default::default(),

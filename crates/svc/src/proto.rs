@@ -81,7 +81,6 @@ pub fn opts_to_json(o: OptConfig) -> Json {
         .with("opt5_grouping", o.opt5_grouping)
         .with("opt6_fixed_varbit", o.opt6_fixed_varbit)
         .with("opt7_parallel", o.opt7_parallel)
-        .with("portfolio", o.portfolio)
 }
 
 /// Decodes an [`OptConfig`]; absent flags keep their
@@ -107,7 +106,6 @@ pub fn opts_from_json(j: &Json) -> Result<OptConfig, CodecError> {
     flag("opt5_grouping", &mut o.opt5_grouping)?;
     flag("opt6_fixed_varbit", &mut o.opt6_fixed_varbit)?;
     flag("opt7_parallel", &mut o.opt7_parallel)?;
-    flag("portfolio", &mut o.portfolio)?;
     Ok(o)
 }
 
@@ -265,7 +263,7 @@ mod tests {
             .with("device", "trident")
             .with("deadline_ms", 1500_i64)
             .with("wait", false)
-            .with("opts", Json::obj().with("portfolio", false))
+            .with("opts", Json::obj().with("opt7_parallel", false))
             .to_string();
         let Ok(Request::Submit(req)) = parse_request(&line) else {
             panic!("submit did not parse");
@@ -273,7 +271,7 @@ mod tests {
         assert_eq!(req.device.name, "trident");
         assert!(!req.wait);
         assert_eq!(req.deadline_ms, Some(1500));
-        assert!(!req.opts.portfolio);
+        assert!(!req.opts.opt7_parallel);
         assert!(req.opts.opt1_spec_keys);
         assert_eq!(req.spec, spec);
     }
@@ -310,7 +308,7 @@ mod tests {
     fn opts_round_trip() {
         let mut o = OptConfig::all();
         o.opt5_grouping = false;
-        o.portfolio = false;
+        o.opt7_parallel = false;
         let back = opts_from_json(&opts_to_json(o)).unwrap();
         assert_eq!(back, o);
     }

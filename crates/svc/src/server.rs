@@ -13,11 +13,15 @@
 //!   blocks the client;
 //! * **worker threads** pop job ids, run [`ph_core::Synthesizer`] (with
 //!   the disk cache installed when configured) and publish results;
-//! * **single-flight**: identical submissions — same content key as a job
-//!   that is still queued or running — don't enqueue a second synthesis.
-//!   The duplicate becomes a *follower* of the primary job and receives a
-//!   copy of its result when it lands.  Combined with the cache this
-//!   gives exactly-one-synthesis for any burst of identical requests;
+//! * **single-flight**: identical submissions — same content key *and*
+//!   field-for-field the same spec as a job that is still queued or
+//!   running — don't enqueue a second synthesis.  The duplicate becomes a
+//!   *follower* of the primary job and receives a copy of its result when
+//!   it lands.  Alpha-variants share a content key but not a field
+//!   numbering, so they never follow each other: each runs its own job,
+//!   and the later ones replay the cache entry remapped to their own
+//!   fields.  Combined with the cache this gives exactly-one-synthesis for
+//!   any burst of identical requests;
 //! * **graceful drain**: a `shutdown` request, a [`ShutdownHandle`], or
 //!   SIGTERM stops the accept loop, lets queued and running jobs finish,
 //!   joins the workers and returns `Ok(())` — so `phd` exits 0.
@@ -34,7 +38,9 @@
 use crate::cache::DiskCache;
 use crate::codec;
 use crate::proto::{self, Request, SubmitReq};
+use ph_bits::Sha256;
 use ph_core::{SynthParams, Synthesizer};
+use ph_ir::canon::spec_fingerprint_text;
 use ph_obs::Json;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
@@ -128,7 +134,8 @@ impl JobStatus {
 type JobResult = Result<(Json, String, Json, bool), String>;
 
 struct Job {
-    key: String,
+    /// In-flight identity (see [`flight_key`]).
+    flight: String,
     status: JobStatus,
     submit: Option<Box<SubmitReq>>,
     result: Option<JobResult>,
@@ -154,7 +161,8 @@ struct Shared {
     jobs: Mutex<HashMap<u64, Job>>,
     /// Signaled whenever any job reaches a terminal status.
     jobs_cv: Condvar,
-    /// Content key → primary job id, for jobs still queued or running.
+    /// In-flight identity → primary job id, for jobs still queued or
+    /// running.
     inflight: Mutex<HashMap<String, u64>>,
     next_job: AtomicU64,
     draining: AtomicBool,
@@ -202,12 +210,12 @@ impl Shared {
         }
     }
 
-    fn job_key(&self, id: u64) -> String {
+    fn job_flight(&self, id: u64) -> String {
         self.jobs
             .lock()
             .unwrap()
             .get(&id)
-            .map(|j| j.key.clone())
+            .map(|j| j.flight.clone())
             .unwrap_or_default()
     }
 }
@@ -280,11 +288,11 @@ fn worker_loop(shared: &Shared) {
         // Retire the in-flight entry before publishing: after this,
         // identical submissions enqueue fresh (and hit the disk cache)
         // instead of following a finished job.
-        let key = shared.job_key(id);
+        let flight = shared.job_flight(id);
         {
             let mut inflight = shared.inflight.lock().unwrap();
-            if inflight.get(&key).copied() == Some(id) {
-                inflight.remove(&key);
+            if inflight.get(&flight).copied() == Some(id) {
+                inflight.remove(&flight);
             }
         }
         shared.publish(id, status, Some(result));
@@ -303,7 +311,7 @@ fn try_enqueue(
     shared: &Shared,
     inflight: &mut HashMap<String, u64>,
     id: u64,
-    key: &str,
+    flight: &str,
     req: Box<SubmitReq>,
 ) -> Placement {
     let mut queue = shared.queue.lock().unwrap();
@@ -313,16 +321,25 @@ fn try_enqueue(
     shared.jobs.lock().unwrap().insert(
         id,
         Job {
-            key: key.to_string(),
+            flight: flight.to_string(),
             status: JobStatus::Queued,
             submit: Some(req),
             result: None,
             followers: Vec::new(),
         },
     );
-    inflight.insert(key.to_string(), id);
+    inflight.insert(flight.to_string(), id);
     queue.push_back(id);
     Placement::Enqueued
+}
+
+/// The single-flight identity of a submission: its content key plus the
+/// exact, uncanonicalized spec.  A follower receives the primary's program
+/// verbatim, and programs index fields by position, so only a spec that
+/// is field-for-field identical may follow; an alpha-variant shares the
+/// content key but not the numbering.
+fn flight_key(key: &str, spec: &ph_ir::ParserSpec) -> String {
+    Sha256::digest_hex(format!("{key}\n{}", spec_fingerprint_text(spec)).as_bytes())
 }
 
 /// Handles one submit request end to end; returns the response.
@@ -330,9 +347,10 @@ fn handle_submit(shared: &Shared, req: Box<SubmitReq>) -> Json {
     if shared.draining.load(Ordering::SeqCst) {
         return proto::error_response("draining");
     }
-    // Single-flight identity: same canonical spec, device model and
-    // synthesis knobs as the daemon's workers will use.
+    // Content key: same canonical spec, device model and synthesis knobs
+    // as the daemon's workers will use.
     let key = DiskCache::key(&req.spec, &req.device, req.opts, &SynthParams::default());
+    let flight = flight_key(&key, &req.spec);
     shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
     ph_obs::current().count("svc.submitted", 1);
     let wait = req.wait;
@@ -342,7 +360,7 @@ fn handle_submit(shared: &Shared, req: Box<SubmitReq>) -> Json {
         // In-flight check and enqueue are one critical section so two
         // identical concurrent submissions can't both become primaries.
         let mut inflight = shared.inflight.lock().unwrap();
-        match inflight.get(&key).copied() {
+        match inflight.get(&flight).copied() {
             Some(primary) => {
                 let mut jobs = shared.jobs.lock().unwrap();
                 let attached = match jobs.get_mut(&primary) {
@@ -352,7 +370,7 @@ fn handle_submit(shared: &Shared, req: Box<SubmitReq>) -> Json {
                         jobs.insert(
                             id,
                             Job {
-                                key: key.clone(),
+                                flight: flight.clone(),
                                 status,
                                 submit: None,
                                 result: None,
@@ -370,11 +388,11 @@ fn handle_submit(shared: &Shared, req: Box<SubmitReq>) -> Json {
                     Placement::Follower(primary)
                 } else {
                     // Raced with completion: enqueue fresh.
-                    inflight.remove(&key);
-                    try_enqueue(shared, &mut inflight, id, &key, req)
+                    inflight.remove(&flight);
+                    try_enqueue(shared, &mut inflight, id, &flight, req)
                 }
             }
-            None => try_enqueue(shared, &mut inflight, id, &key, req),
+            None => try_enqueue(shared, &mut inflight, id, &flight, req),
         }
     };
 
@@ -440,7 +458,7 @@ fn handle_cancel(shared: &Shared, job: u64) -> Json {
             Some(j) if j.status == JobStatus::Queued => {
                 j.status = JobStatus::Canceled;
                 j.submit = None;
-                Some(Ok((std::mem::take(&mut j.followers), j.key.clone())))
+                Some(Ok((std::mem::take(&mut j.followers), j.flight.clone())))
             }
             Some(j) => Some(Err(j.status)),
         };
@@ -458,11 +476,11 @@ fn handle_cancel(shared: &Shared, job: u64) -> Json {
         Some(Err(status)) => {
             proto::error_response("job not cancelable").with("status", status.name())
         }
-        Some(Ok((_, key))) => {
+        Some(Ok((_, flight))) => {
             shared.counters.canceled.fetch_add(1, Ordering::Relaxed);
             let mut inflight = shared.inflight.lock().unwrap();
-            if inflight.get(&key).copied() == Some(job) {
-                inflight.remove(&key);
+            if inflight.get(&flight).copied() == Some(job) {
+                inflight.remove(&flight);
             }
             drop(inflight);
             shared.jobs_cv.notify_all();

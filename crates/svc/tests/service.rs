@@ -1,6 +1,6 @@
 //! End-to-end daemon tests over real loopback TCP: cache replay through
-//! the service, deterministic single-flight dedup, queue-full
-//! backpressure, and graceful drain.
+//! the service, deterministic single-flight dedup (and its refusal to
+//! merge alpha-variants), queue-full backpressure, and graceful drain.
 
 use ph_core::{CacheHook, OptConfig, SynthCache, SynthOutput, SynthParams};
 use ph_hw::DeviceProfile;
@@ -207,6 +207,134 @@ fn identical_concurrent_submissions_synthesize_exactly_once() {
 
     handle.shutdown();
     assert!(join.join().unwrap().is_ok());
+}
+
+/// A disk cache whose first lookup parks the worker until the test
+/// releases it; later lookups and all stores go straight to the disk.
+struct FirstLookupGate {
+    inner: DiskCache,
+    entered: Barrier,
+    release: Barrier,
+    lookups: AtomicUsize,
+}
+
+impl SynthCache for FirstLookupGate {
+    fn lookup(
+        &self,
+        spec: &ParserSpec,
+        device: &DeviceProfile,
+        opts: OptConfig,
+        params: &SynthParams,
+    ) -> Option<SynthOutput> {
+        if self.lookups.fetch_add(1, Ordering::SeqCst) == 0 {
+            self.entered.wait();
+            self.release.wait();
+        }
+        self.inner.lookup(spec, device, opts, params)
+    }
+
+    fn store(
+        &self,
+        spec: &ParserSpec,
+        device: &DeviceProfile,
+        opts: OptConfig,
+        params: &SynthParams,
+        out: &SynthOutput,
+    ) {
+        self.inner.store(spec, device, opts, params, out);
+    }
+}
+
+/// Two headers of different widths, selected on in sequence.  `headers`
+/// is the declaration block, so alpha-variants can permute or pad it and
+/// thereby renumber the fields without changing the parser's meaning.
+fn two_header_spec(headers: &str) -> ParserSpec {
+    ph_p4f::parse_parser(&format!(
+        r#"
+        {headers}
+        parser {{
+            state start {{
+                extract(a_t);
+                transition select(a_t.x) {{ 1 : next; default : reject; }}
+            }}
+            state next {{
+                extract(b_t);
+                transition select(b_t.y) {{ 2 : accept; default : reject; }}
+            }}
+        }}
+        "#,
+    ))
+    .unwrap()
+}
+
+#[test]
+fn alpha_variants_in_flight_get_programs_in_their_own_field_numbering() {
+    let dir = tmp_dir("alpha");
+    let gate = Arc::new(FirstLookupGate {
+        inner: DiskCache::new(&dir),
+        entered: Barrier::new(2),
+        release: Barrier::new(2),
+        lookups: AtomicUsize::new(0),
+    });
+    let (addr, handle, join) = start(ServerConfig {
+        workers: 1,
+        queue_cap: 8,
+        cache: Some(CacheHook(gate.clone())),
+        ..ServerConfig::default()
+    });
+    let primary = two_header_spec("header a_t { x : 4; } header b_t { y : 8; }");
+    // Same parser, fields numbered the other way round.
+    let swapped = two_header_spec("header b_t { y : 8; } header a_t { x : 4; }");
+    // Same parser behind a dead header that shifts every field id by one.
+    let padded =
+        two_header_spec("header d_t { z : 3; } header a_t { x : 4; } header b_t { y : 8; }");
+    let dev = DeviceProfile::tofino();
+    let key = |s: &ParserSpec| DiskCache::key(s, &dev, OptConfig::all(), &SynthParams::default());
+    assert_eq!(key(&swapped), key(&primary), "variants share a content key");
+    assert_eq!(key(&padded), key(&primary), "variants share a content key");
+    assert_ne!(swapped.fields[0], primary.fields[0]);
+
+    let mut client = Client::connect(&addr).unwrap();
+    let submit_nowait = |client: &mut Client, spec: &ParserSpec| -> i64 {
+        let req = Json::obj()
+            .with("op", "submit")
+            .with("spec", ph_svc::codec::spec_to_json(spec))
+            .with("device", "tofino")
+            .with("wait", false);
+        let resp = client.request(&req).unwrap();
+        resp.get("job").and_then(Json::as_i64).unwrap()
+    };
+
+    // The primary parks in its cache lookup; both variants arrive while
+    // it is provably in flight.
+    let mut jobs = vec![(submit_nowait(&mut client, &primary), &primary)];
+    gate.entered.wait();
+    jobs.push((submit_nowait(&mut client, &swapped), &swapped));
+    jobs.push((submit_nowait(&mut client, &padded), &padded));
+    gate.release.wait();
+
+    for (job, spec) in jobs {
+        let result = loop {
+            match client.request(&Json::obj().with("op", "result").with("job", job)) {
+                Ok(r) => break r,
+                Err(ClientError::Daemon { message, .. }) if message.contains("not finished") => {
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                Err(e) => panic!("result op failed: {e}"),
+            }
+        };
+        assert_eq!(result.get("status").and_then(Json::as_str), Some("done"));
+        let program = ph_svc::codec::program_from_json(result.get("program").unwrap()).unwrap();
+        let violations = ph_hw::check_program(&program, &spec.fields);
+        assert!(violations.is_empty(), "job {job}: {violations:?}");
+        if let Err(d) = ph_core::fuzz::check_e2e(spec, &program, 7, 400) {
+            panic!("job {job}: program diverges from its own spec: {d}");
+        }
+    }
+
+    handle.shutdown();
+    assert!(join.join().unwrap().is_ok());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
