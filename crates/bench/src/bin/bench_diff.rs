@@ -1,29 +1,24 @@
-//! Noise-aware benchmark regression gate.
+//! Exact quality/status gate between two benchmark results files.
 //!
 //! ```text
 //! bench_diff old.json new.json            # text report; exit 1 on regression
 //! bench_diff old.json new.json --json     # + write results/bench_diff.json
-//! bench_diff --inflate 2.0 in.json out.json   # write a time-scaled copy
 //! ```
 //!
 //! Compares two `results/table*.json` documents run-by-run (see
-//! `ph_bench::diff` for the gate semantics: exact quality gates, clamped
-//! noise-aware timing ratios, a geomean gate, and budget-aware status
-//! checks).  Thresholds come from `PH_DIFF_MIN_TIME_S`,
-//! `PH_DIFF_MAX_RATIO` and `PH_DIFF_GEOMEAN_MAX`; `--inflate` exists so
-//! CI can manufacture a deliberately slowed results file and prove the
-//! gate actually trips.
+//! `ph_bench::diff` for the gate semantics): entries/stages must not grow,
+//! and a run that was `ok` must not fail at the same budget.  Wall times
+//! are not compared; timing regressions go through `ledger compare`.
+//! Exit status: 0 pass (warnings included), 1 regression, 2 usage or I/O
+//! error.
 
-use ph_bench::diff::{diff, inflate, Thresholds};
+use ph_bench::diff::diff;
 use ph_bench::report;
 use ph_obs::Json;
 use std::process::ExitCode;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: bench_diff <old.json> <new.json> [--json]\n       \
-         bench_diff --inflate <factor> <in.json> <out.json>"
-    );
+    eprintln!("usage: bench_diff <old.json> <new.json> [--json]");
     std::process::exit(2);
 }
 
@@ -45,37 +40,20 @@ fn load(path: &str) -> Json {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("--inflate") {
-        let [_, factor, input, output] = &args[..] else {
-            usage()
-        };
-        let Ok(factor) = factor.parse::<f64>() else {
-            usage()
-        };
-        let doc = inflate(&load(input), factor);
-        if let Err(e) = std::fs::write(output, format!("{}\n", doc.to_pretty())) {
-            eprintln!("bench_diff: cannot write {output}: {e}");
-            return ExitCode::from(2);
-        }
-        eprintln!("bench_diff: wrote {output} with time_s x{factor}");
-        return ExitCode::SUCCESS;
-    }
-
     let mut paths = Vec::new();
     let mut json = false;
-    for a in &args {
+    for a in std::env::args().skip(1) {
         match a.as_str() {
             "--json" => json = true,
             "--help" | "-h" => usage(),
-            _ => paths.push(a.clone()),
+            _ => paths.push(a),
         }
     }
     let [old_path, new_path] = &paths[..] else {
         usage()
     };
 
-    let report = diff(&load(old_path), &load(new_path), Thresholds::from_env());
+    let report = diff(&load(old_path), &load(new_path));
     print!("{}", report.render());
 
     if json {

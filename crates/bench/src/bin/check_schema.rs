@@ -12,9 +12,8 @@
 //!   objects carry the per-phase timings, both SAT-counter blocks and
 //!   the latency-histogram summaries; `profile` documents (from
 //!   `trace_prof`) need the span/cegis breakdown; `bench_diff` documents
-//!   need the per-run comparison rows and gate verdicts; `svc_bench`
-//!   documents need the per-case cold/warm rows, the summary block and
-//!   the daemon's counters.  A `.json` file carrying a top-level
+//!   need the per-run comparison rows (key, verdict, notes), the unmatched
+//!   runs and the overall verdict.  A `.json` file carrying a top-level
 //!   `cache_version` instead is a `ph-svc` result-cache entry
 //!   (`$PH_CACHE_DIR/<key>.json`) and is validated against the cache
 //!   entry shape for that version.
@@ -292,14 +291,6 @@ fn check_bench_diff(file: &str, doc: &Json) {
                 );
             }
         }
-        for key in ["old_time_s", "new_time_s", "ratio"] {
-            if r.get(key).and_then(Json::as_f64).is_none() {
-                fail(
-                    file,
-                    format!("diff.rows[{i}].{key} missing or not a number"),
-                );
-            }
-        }
         if r.get("notes").and_then(Json::as_arr).is_none() {
             fail(
                 file,
@@ -307,10 +298,8 @@ fn check_bench_diff(file: &str, doc: &Json) {
             );
         }
     }
-    for key in ["geomean_ratio", "min_time_s", "max_ratio", "geomean_max"] {
-        if d.get(key).and_then(Json::as_f64).is_none() {
-            fail(file, format!("diff.{key} missing or not a number"));
-        }
+    if d.get("unmatched").and_then(Json::as_arr).is_none() {
+        fail(file, "diff.unmatched missing or not an array".into());
     }
     let Some(verdict) = d.get("verdict").and_then(Json::as_str) else {
         fail(file, "diff.verdict missing or not a string".into());
@@ -324,150 +313,6 @@ fn check_bench_diff(file: &str, doc: &Json) {
     println!(
         "check_schema: {file}: ok (bench_diff: {} runs compared, verdict {verdict})",
         rows.len()
-    );
-}
-
-/// Validates an `svc_bench` document (`results/svc_bench.json`).
-fn check_svc_bench(file: &str, doc: &Json) {
-    let Some(rows) = doc.get("rows").and_then(Json::as_arr) else {
-        fail(file, "missing array field \"rows\"".into());
-    };
-    for (i, r) in rows.iter().enumerate() {
-        if r.get("name").and_then(Json::as_str).is_none() {
-            fail(file, format!("rows[{i}] has no \"name\""));
-        }
-        match r.get("outcome").and_then(Json::as_str) {
-            Some("ok" | "alias" | "timeout" | "failed") => {}
-            Some(o) => fail(file, format!("rows[{i}].outcome {o:?} is not known")),
-            None => fail(file, format!("rows[{i}].outcome missing or not a string")),
-        }
-        if r.get("identical").and_then(Json::as_bool).is_none() {
-            fail(file, format!("rows[{i}].identical missing or not a bool"));
-        }
-        for pass in ["cold", "warm"] {
-            let Some(p) = r.get(pass) else {
-                fail(file, format!("rows[{i}] missing pass object {pass:?}"));
-            };
-            if p.get("time_s").and_then(Json::as_f64).is_none() {
-                fail(
-                    file,
-                    format!("rows[{i}].{pass}.time_s missing or not a number"),
-                );
-            }
-            if p.get("cache_hit").and_then(Json::as_bool).is_none() {
-                fail(
-                    file,
-                    format!("rows[{i}].{pass}.cache_hit missing or not a bool"),
-                );
-            }
-        }
-    }
-    let Some(s) = doc.get("summary") else {
-        fail(file, "missing object field \"summary\"".into());
-    };
-    for key in [
-        "cases",
-        "failures",
-        "mismatches",
-        "warm_misses",
-        "timeouts",
-        "alias_pairs",
-    ] {
-        if s.get(key).and_then(Json::as_i64).is_none() {
-            fail(file, format!("summary.{key} missing or not an integer"));
-        }
-    }
-    let Some(g) = s.get("geomean_warm_speedup").and_then(Json::as_f64) else {
-        fail(
-            file,
-            "summary.geomean_warm_speedup missing or not a number".into(),
-        );
-    };
-    for block in ["cold_latency_us", "warm_latency_us"] {
-        let Some(h) = s.get(block) else {
-            fail(file, format!("summary missing block {block:?}"));
-        };
-        check_hist(file, &format!("summary.{block}"), h);
-    }
-    if doc.get("drained").and_then(Json::as_bool).is_none() {
-        fail(file, "drained missing or not a bool".into());
-    }
-    let Some(d) = doc.get("daemon") else {
-        fail(file, "missing object field \"daemon\"".into());
-    };
-    for key in [
-        "submitted",
-        "completed",
-        "dedup_hits",
-        "rejected_full",
-        "cache_hits",
-        "cache_misses",
-    ] {
-        if d.get(key).and_then(Json::as_i64).is_none() {
-            fail(file, format!("daemon.{key} missing or not an integer"));
-        }
-    }
-    println!(
-        "check_schema: {file}: ok (svc_bench: {} cases, geomean warm speed-up {g:.1}x)",
-        rows.len()
-    );
-}
-
-/// Validates a `solver_bench` document (`results/solver_bench.json`): the
-/// on/off rows with their stats payloads plus the summary's geomean and
-/// propagation-throughput rates.
-fn check_solver_bench(file: &str, doc: &Json) {
-    let Some(rows) = doc.get("rows").and_then(Json::as_arr) else {
-        fail(file, "missing array field \"rows\"".into());
-    };
-    for (i, r) in rows.iter().enumerate() {
-        if r.get("name").and_then(Json::as_str).is_none() {
-            fail(file, format!("rows[{i}] has no \"name\""));
-        }
-        if r.get("device").and_then(Json::as_str).is_none() {
-            fail(file, format!("rows[{i}].device missing or not a string"));
-        }
-        for leg in ["off", "on"] {
-            let Some(run) = r.get(leg) else {
-                fail(file, format!("rows[{i}] missing run object {leg:?}"));
-            };
-            if run.get("time_s").and_then(Json::as_f64).is_none() {
-                fail(
-                    file,
-                    format!("rows[{i}].{leg}.time_s missing or not a number"),
-                );
-            }
-        }
-    }
-    let Some(s) = doc.get("summary") else {
-        fail(file, "missing object field \"summary\"".into());
-    };
-    for key in ["measured_pairs", "below_floor_pairs"] {
-        if s.get(key).and_then(Json::as_i64).is_none() {
-            fail(file, format!("summary.{key} missing or not an integer"));
-        }
-    }
-    for key in [
-        "geomean_speedup",
-        "props_per_sec_off",
-        "props_per_sec_on",
-        "decisions_per_sec_off",
-        "decisions_per_sec_on",
-    ] {
-        if s.get(key).and_then(Json::as_f64).is_none() {
-            fail(file, format!("summary.{key} missing or not a number"));
-        }
-    }
-    let stats = check_stats(file, doc);
-    let p_on = s
-        .get("props_per_sec_on")
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
-    println!(
-        "check_schema: {file}: ok (solver_bench: {} rows, {stats} stats payloads, \
-         {:.2}M props/s on-leg)",
-        rows.len(),
-        p_on / 1e6
     );
 }
 
@@ -545,8 +390,6 @@ fn check_results(file: &str, text: &str) {
     match doc.get("table").and_then(Json::as_str) {
         Some("profile") => return check_profile(file, &doc),
         Some("bench_diff") => return check_bench_diff(file, &doc),
-        Some("svc_bench") => return check_svc_bench(file, &doc),
-        Some("solver_bench") => return check_solver_bench(file, &doc),
         _ => {}
     }
     let Some(rows) = doc.get("rows").and_then(Json::as_arr) else {

@@ -5,13 +5,13 @@
 //! cargo run --release -p ph-bench --bin cnf_replay -- /tmp/q
 //! ```
 //!
-//! End-to-end on/off comparisons (`solver_bench`) are confounded by CEGIS
-//! trajectory divergence: a different model from one query changes every
-//! subsequent counterexample, so the two legs solve *different* query
-//! sequences.  Replaying a dumped stream solves byte-identical formulas on
-//! both legs, isolating the solver-level effect of simplification.  Dump
-//! with `PH_NO_SIMPLIFY=1` so the files hold the raw blasted CNF rather
-//! than an already-simplified database.
+//! An end-to-end on/off comparison is confounded by CEGIS trajectory
+//! divergence: a different model from one query changes every subsequent
+//! counterexample, so the two legs solve *different* query sequences.
+//! Replaying a dumped stream solves byte-identical formulas on both legs,
+//! isolating the solver-level effect of simplification.  Dump with
+//! `PH_NO_SIMPLIFY=1` so the files hold the raw blasted CNF rather than an
+//! already-simplified database.
 //!
 //! Each `query-*.cnf` is solved by a fresh solver per leg (the replay is
 //! one-shot, so the scheduler's conflict gate applies per query, as it
@@ -74,10 +74,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let budget: u64 = std::env::var("PH_REPLAY_CONFLICT_BUDGET")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200_000);
+    let budget: u64 = ph_bench::env_parse("PH_REPLAY_CONFLICT_BUDGET", 200_000);
 
     let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
         .unwrap_or_else(|e| panic!("cannot read {dir}: {e}"))

@@ -31,12 +31,12 @@
 //! table, a machine-readable `results/fuzz_e2e.json` records every case
 //! with its counters and full divergence reports.
 
-use ph_bench::{env_secs, jobs_from_args, par_map, report};
+use ph_bench::{env_parse, jobs_from_args, par_map, report};
 use ph_core::fuzz::{fuzz, FuzzConfig, FuzzReport};
 use ph_core::{OptConfig, SynthParams, Synthesizer};
 use ph_hw::{DeviceProfile, HwNext, TcamProgram};
 use ph_obs::{Json, Level};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Corruption candidates: each entry's action flipped in turn
 /// (Accept/State → Reject, Reject → Accept).  Returns the corrupted
@@ -73,7 +73,7 @@ struct CaseOutcome {
 }
 
 fn main() {
-    let synth_budget = env_secs("PH_FUZZ_TIMEOUT_SECS", 30);
+    let synth_budget = Duration::from_secs(env_parse("PH_FUZZ_TIMEOUT_SECS", 30));
     let filter = std::env::var("PH_FUZZ_FILTER").unwrap_or_default();
     let do_synth = std::env::var("PH_FUZZ_SYNTH")
         .map(|v| v != "0")
@@ -81,10 +81,7 @@ fn main() {
     let corrupt = std::env::var("PH_FUZZ_CORRUPT")
         .map(|v| v == "1")
         .unwrap_or(false);
-    let packet_budget: usize = std::env::var("PH_FUZZ_BUDGET")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
+    let packet_budget: usize = env_parse("PH_FUZZ_BUDGET", 0);
     let device = DeviceProfile::tofino();
     let tracer = ph_obs::current();
 

@@ -17,6 +17,7 @@
 //! 20 runs per sample), `PH_OBS_MAX_OVERHEAD_PCT` (default 2.0; the run
 //! exits non-zero above it).  Results are recorded in EXPERIMENTS.md.
 
+use ph_bench::env_parse;
 use ph_core::{OptConfig, SynthParams, Synthesizer};
 use ph_hw::DeviceProfile;
 use ph_ir::ParserSpec;
@@ -43,21 +44,6 @@ fn fig7_spec() -> ParserSpec {
         "#,
     )
     .unwrap()
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-        .max(1)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 /// One sample: `batch` full synthesis runs with the given tracer.
@@ -89,9 +75,9 @@ fn median(xs: &mut [f64]) -> f64 {
 }
 
 fn main() {
-    let samples = env_usize("PH_OBS_SAMPLES", 15);
-    let batch = env_usize("PH_OBS_BATCH", 20);
-    let max_pct = env_f64("PH_OBS_MAX_OVERHEAD_PCT", 2.0);
+    let samples = env_parse::<usize>("PH_OBS_SAMPLES", 15).max(1);
+    let batch = env_parse::<usize>("PH_OBS_BATCH", 20).max(1);
+    let max_pct: f64 = env_parse("PH_OBS_MAX_OVERHEAD_PCT", 2.0);
 
     let spec = fig7_spec();
     let disabled = Tracer::disabled();

@@ -24,16 +24,17 @@
 //! it unset when the timing columns themselves are the measurement.
 
 use ph_bench::{
-    baseline_ipu, baseline_tofino, env_secs, geomean, jobs_from_args, par_map, report,
+    baseline_ipu, baseline_tofino, env_parse, geomean, jobs_from_args, par_map, report,
     run_parserhawk, short_failure,
 };
 use ph_core::OptConfig;
 use ph_hw::DeviceProfile;
 use ph_obs::{Json, Level};
+use std::time::Duration;
 
 fn main() {
-    let opt_budget = env_secs("PH_OPT_TIMEOUT_SECS", 30);
-    let orig_budget = env_secs("PH_ORIG_TIMEOUT_SECS", 10);
+    let opt_budget = Duration::from_secs(env_parse("PH_OPT_TIMEOUT_SECS", 30));
+    let orig_budget = Duration::from_secs(env_parse("PH_ORIG_TIMEOUT_SECS", 10));
     let filter = std::env::var("PH_TABLE3_FILTER").unwrap_or_default();
     let tofino = DeviceProfile::tofino();
     let ipu = DeviceProfile::ipu();

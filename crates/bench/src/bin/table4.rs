@@ -11,15 +11,16 @@
 //! unset when timing is the measurement).
 
 use ph_bench::{
-    baseline_dp, env_secs, jobs_from_args, par_map, report, run_parserhawk, short_failure,
+    baseline_dp, env_parse, jobs_from_args, par_map, report, run_parserhawk, short_failure,
 };
 use ph_benchmarks::registry::motivating_examples;
 use ph_core::OptConfig;
 use ph_hw::DeviceProfile;
 use ph_obs::{Json, Level};
+use std::time::Duration;
 
 fn main() {
-    let budget = env_secs("PH_OPT_TIMEOUT_SECS", 30);
+    let budget = Duration::from_secs(env_parse("PH_OPT_TIMEOUT_SECS", 30));
     let tracer = ph_obs::current();
     let mut rows_json: Vec<Json> = Vec::new();
 

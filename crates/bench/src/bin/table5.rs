@@ -11,14 +11,15 @@
 //! enables the `ph-svc` synthesis-result cache (cached cells report
 //! near-zero times — leave it unset when timing is the measurement).
 
-use ph_bench::{env_secs, jobs_from_args, par_map, report, run_parserhawk};
+use ph_bench::{env_parse, jobs_from_args, par_map, report, run_parserhawk};
 use ph_benchmarks::suite;
 use ph_core::OptConfig;
 use ph_hw::DeviceProfile;
 use ph_obs::{Json, Level};
+use std::time::Duration;
 
 fn main() {
-    let budget = env_secs("PH_ABLATION_TIMEOUT_SECS", 60);
+    let budget = Duration::from_secs(env_parse("PH_ABLATION_TIMEOUT_SECS", 60));
     let tracer = ph_obs::current();
     let mut rows_json: Vec<Json> = Vec::new();
     let benches = vec![suite::sai_v1(), suite::dash_v1(), suite::large_tran_key()];

@@ -2,9 +2,17 @@
 //!
 //! The experiment harness: shared runners behind the `table3`, `table4`
 //! and `table5` binaries that regenerate the paper's tables, plus helper
-//! formatting (geometric means, timeout rows).
+//! formatting (geometric means, timeout rows).  The other binaries check
+//! what those tables produce: `check_schema` validates results files and
+//! traces, `bench_diff` is the exact quality/status gate against the
+//! committed `results/table*.json` baselines, `trace_prof` profiles a
+//! trace, `fuzz_e2e` is the differential fuzzing oracle, `cnf_replay`
+//! measures the CNF simplifier on byte-identical query streams, and
+//! `obs_overhead` gates the tracing layer's cost.  Timing regressions are
+//! judged by the standalone `ledger` benchmark (`ledger compare`).
 //!
-//! Environment knobs:
+//! Environment knobs (the timeout budgets parse through [`env_parse`],
+//! which rejects a value that does not parse):
 //!
 //! * `PH_OPT_TIMEOUT_SECS` — wall budget for optimized ParserHawk runs
 //!   (default 30).
@@ -25,6 +33,7 @@ use ph_baseline::{compile_dp, compile_ipu, compile_tofino};
 use ph_core::{OptConfig, SynthError, SynthParams, SynthStats, Synthesizer};
 use ph_hw::DeviceProfile;
 use ph_ir::ParserSpec;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 /// Result of one compiler run on one case.
@@ -63,13 +72,29 @@ impl RunResult {
     }
 }
 
-/// Reads a duration knob from the environment.
-pub fn env_secs(name: &str, default: u64) -> Duration {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .map(Duration::from_secs)
-        .unwrap_or(Duration::from_secs(default))
+/// Reads a numeric knob from the environment, failing closed: unset or
+/// empty yields `default`, and a value that does not parse as `T` exits
+/// with status 2 and a message naming the variable (so a typo such as
+/// `PH_OPT_TIMEOUT_SECS=1.5` cannot silently run the default budget).
+pub fn env_parse<T: FromStr>(name: &str, default: T) -> T {
+    let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_knob(name, raw.as_deref(), default).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2)
+    })
+}
+
+/// The pure part of [`env_parse`]: `raw` is the variable's value, if set.
+fn parse_knob<T: FromStr>(name: &str, raw: Option<&str>, default: T) -> Result<T, String> {
+    match raw.map(str::trim) {
+        None | Some("") => Ok(default),
+        Some(v) => v.parse().map_err(|_| {
+            format!(
+                "{name}={v:?} does not parse as {}",
+                std::any::type_name::<T>()
+            )
+        }),
+    }
 }
 
 /// Runs ParserHawk on one case.
@@ -79,33 +104,15 @@ pub fn run_parserhawk(
     opts: OptConfig,
     timeout: Duration,
 ) -> RunResult {
-    run_parserhawk_simplify(spec, device, opts, timeout, true)
-}
-
-/// [`run_parserhawk`] with explicit control over CNF simplification in the
-/// SAT engines — the `solver_bench` binary uses this to measure the
-/// simplifier's on/off speed-up on identical workloads.
-pub fn run_parserhawk_simplify(
-    spec: &ParserSpec,
-    device: &DeviceProfile,
-    opts: OptConfig,
-    timeout: Duration,
-    simplify: bool,
-) -> RunResult {
     let t0 = Instant::now();
     let r = Synthesizer::new(device.clone(), opts)
         .with_params(SynthParams {
             timeout: Some(timeout),
-            simplify,
             cache: ph_svc::DiskCache::from_env(),
             ..Default::default()
         })
         .synthesize(spec);
-    finish_run(r, t0.elapsed())
-}
-
-/// Shared result shaping for the ParserHawk runners.
-fn finish_run(r: Result<ph_core::SynthOutput, SynthError>, time: Duration) -> RunResult {
+    let time = t0.elapsed();
     match r {
         Ok(out) => RunResult {
             entries: Some(out.program.entry_count()),
@@ -218,6 +225,19 @@ mod tests {
         assert!(!lb);
         let (_, lb) = geomean(&[(4.0, true), (16.0, false)]);
         assert!(lb);
+    }
+
+    #[test]
+    fn knob_parsing_fails_closed() {
+        assert_eq!(parse_knob("K", None, 30u64), Ok(30));
+        assert_eq!(parse_knob("K", Some(""), 30u64), Ok(30));
+        assert_eq!(parse_knob("K", Some(" 45 "), 30u64), Ok(45));
+        assert_eq!(parse_knob("K", Some("2.5"), 1.0f64), Ok(2.5));
+        let err = parse_knob("PH_OPT_TIMEOUT_SECS", Some("1.5"), 30u64).unwrap_err();
+        assert!(err.contains("PH_OPT_TIMEOUT_SECS"), "{err}");
+        assert!(err.contains("1.5"), "{err}");
+        assert!(parse_knob("K", Some("-1"), 0usize).is_err());
+        assert!(parse_knob("K", Some("ten"), 1.0f64).is_err());
     }
 
     #[test]

@@ -233,7 +233,6 @@ fn run_cegis(
 
     let mut smt = Smt::new();
     smt.set_interrupt(Some(flag.clone()));
-    smt.set_simplify(params.simplify);
     let vars = build_vars(&mut smt, shape, device);
     stats.search_space_bits = vars.search_space_bits;
     tracer.gauge("cegis.search_space_bits", vars.search_space_bits as u64);
@@ -244,7 +243,6 @@ fn run_cegis(
     // instance.
     let tv = Instant::now();
     let mut verifier = IncrementalVerifier::new(shape, red_spec, l, k_impl, k_spec, &flag)?;
-    verifier.set_simplify(params.simplify);
     stats.verify_solver_builds += 1;
     stats.verify_time += tv.elapsed();
 
@@ -565,13 +563,6 @@ impl<'a> IncrementalVerifier<'a> {
     /// [`ph_sat::SolverStats::delta_since`] for the per-query cost.
     pub fn solver_stats(&self) -> ph_sat::SolverStats {
         self.smt.solver_stats()
-    }
-
-    /// Enables or disables CNF simplification in the underlying solver
-    /// (safe either way: the blaster freezes all externally visible
-    /// literals).
-    pub fn set_simplify(&mut self, on: bool) {
-        self.smt.set_simplify(on);
     }
 
     /// Checks one candidate: UNSAT under the pin assumptions means no input

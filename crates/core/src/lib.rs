@@ -174,10 +174,6 @@ pub struct SynthParams {
     pub spare_states: Option<usize>,
     /// Random seed for initial test-case generation.
     pub seed: u64,
-    /// Run CNF simplification (preprocessing + inprocessing) in the SAT
-    /// engines.  Defaults to on; the `PH_NO_SIMPLIFY` environment variable
-    /// force-disables it regardless of this flag.
-    pub simplify: bool,
     /// Run-scoped tracer.  `Some` installs the tracer as the thread tracer
     /// for the run's duration (Opt7 race branches derive per-branch
     /// streams from it); `None` inherits the ambient [`ph_obs::current`]
@@ -203,7 +199,6 @@ impl Default for SynthParams {
             max_loop_iters: 8,
             spare_states: None,
             seed: 0x9aa5,
-            simplify: true,
             tracer: None,
             e2e_samples: 0,
             cache: None,

@@ -11,9 +11,9 @@
 //!   *name* is excluded — `tofino` and a renamed copy are the same
 //!   hardware);
 //! * the full [`OptConfig`] and the result-determining [`SynthParams`]
-//!   fields (`max_cegis_iters`, `max_loop_iters`, `spare_states`, `seed`,
-//!   `simplify`).  `timeout` and tracing change how long a run takes,
-//!   never what it produces, and are excluded;
+//!   fields (`max_cegis_iters`, `max_loop_iters`, `spare_states`,
+//!   `seed`).  `timeout` and tracing change how long a run takes, never
+//!   what it produces, and are excluded;
 //! * [`CACHE_FORMAT_VERSION`], so a format change invalidates every old
 //!   entry at once.
 //!
@@ -45,7 +45,7 @@ use std::time::SystemTime;
 
 /// Bumped whenever the entry layout or key derivation changes; old
 /// entries then read as stale and are recomputed.
-pub const CACHE_FORMAT_VERSION: u32 = 3;
+pub const CACHE_FORMAT_VERSION: u32 = 4;
 
 /// Environment variable naming the cache directory.  Unset or empty means
 /// no cache.
@@ -154,12 +154,8 @@ impl DiskCache {
         );
         let _ = writeln!(
             pre,
-            "params cegis={} loop={} spare={:?} seed={} simplify={}",
-            params.max_cegis_iters,
-            params.max_loop_iters,
-            params.spare_states,
-            params.seed,
-            b(params.simplify),
+            "params cegis={} loop={} spare={:?} seed={}",
+            params.max_cegis_iters, params.max_loop_iters, params.spare_states, params.seed,
         );
         Sha256::digest_hex(pre.as_bytes())
     }

@@ -22,9 +22,9 @@
 //!   program types, and the `par_map` worker-pool primitive shared with
 //!   `ph-bench`.
 //!
-//! Binaries: `phd` (the daemon), `ph_client` (submit/inspect), and — in
-//! `ph-bench`, which owns the results schema — `svc_bench` (cold/warm
-//! throughput measurement).
+//! Binaries: `phd` (the daemon) and `ph_client` (submit/inspect).  The
+//! standalone `ledger` benchmark's `svc-mixed` workload measures service
+//! latency through an in-process [`Server`].
 
 pub mod cache;
 pub mod client;

@@ -662,7 +662,7 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// A drain trigger for in-process embedding (tests, `svc_bench`).
+    /// A drain trigger for in-process embedding (tests, the `ledger` benchmark).
     pub fn shutdown_handle(&self) -> ShutdownHandle {
         ShutdownHandle {
             shared: Arc::clone(&self.shared),
