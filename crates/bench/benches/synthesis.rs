@@ -12,8 +12,7 @@ use ph_core::reduce::reduce_spec;
 use ph_core::skeleton::{build_shape, ConcreteEntry, ConcreteSkel};
 use ph_core::{OptConfig, SynthParams, Synthesizer};
 use ph_hw::DeviceProfile;
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use ph_sat::Interrupt;
 use std::time::Duration;
 
 fn synthesize(spec: &ph_ir::ParserSpec, device: DeviceProfile) -> usize {
@@ -105,17 +104,17 @@ fn main() {
         ext: vec![0, 1, 2],
         stage: vec![0, 0, 0],
     };
-    let flag = Arc::new(AtomicBool::new(false));
+    let interrupt = Interrupt::default();
 
     c.bench_function("verify/fig7_fresh_solver_per_query", |b| {
         b.iter(|| {
-            let v =
-                verify_candidate_fresh(&shape, &red.spec, &cand, l, k_impl, k_spec, &flag).unwrap();
+            let v = verify_candidate_fresh(&shape, &red.spec, &cand, l, k_impl, k_spec, &interrupt)
+                .unwrap();
             assert_eq!(v, Verdict::Verified);
         })
     });
     let mut verifier =
-        IncrementalVerifier::new(&shape, &red.spec, l, k_impl, k_spec, &flag).unwrap();
+        IncrementalVerifier::new(&shape, &red.spec, l, k_impl, k_spec, &interrupt).unwrap();
     c.bench_function("verify/fig7_incremental", |b| {
         b.iter(|| assert_eq!(verifier.verify(&cand), Verdict::Verified))
     });

@@ -30,7 +30,7 @@ const VOLATILE_KEYS: &[&str] = &[
 ];
 
 /// Rebuilds the document without the volatile fields, everywhere.  A
-/// timed-out run's whole `stats` payload is volatile — the watchdog fires
+/// timed-out run's whole `stats` payload is volatile — the deadline trips
 /// on wall clock, so the counters freeze at a run-dependent point — while
 /// its verdict (`timed_out: true`, null outputs) must still reproduce.
 fn scrub(v: &Json) -> Json {

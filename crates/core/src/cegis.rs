@@ -27,8 +27,9 @@ use ph_bits::{BitString, Rng};
 use ph_hw::DeviceProfile;
 use ph_ir::{analysis, NextState, ParseStatus, ParserSpec, StateId};
 use ph_obs::Level;
+use ph_sat::Interrupt;
 use ph_smt::{Smt, SmtResult, Term};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -103,42 +104,9 @@ fn prune(spec: &ParserSpec) -> ParserSpec {
     }
 }
 
-/// Watchdog that trips an interrupt flag at a wall-clock deadline.
-struct Watchdog {
-    done: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Watchdog {
-    fn arm(flag: Arc<AtomicBool>, deadline: Option<Instant>) -> Watchdog {
-        let done = Arc::new(AtomicBool::new(false));
-        let handle = deadline.map(|dl| {
-            let done = done.clone();
-            std::thread::spawn(move || {
-                while !done.load(Ordering::Relaxed) {
-                    if Instant::now() >= dl {
-                        flag.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                }
-            })
-        });
-        Watchdog { done, handle }
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.done.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 /// Runs one full synthesis (no Opt7 racing).  `interrupt` cancels the run
-/// cooperatively (a losing race branch).
+/// cooperatively (a losing race branch).  `params.timeout` becomes the
+/// deadline of the solvers' [`Interrupt`], polled wherever the flag is.
 pub fn synthesize_one(
     spec: &ParserSpec,
     device: &DeviceProfile,
@@ -155,9 +123,10 @@ pub fn synthesize_one(
     let _run_span = tracer.span("synth.run");
 
     let t0 = Instant::now();
-    let flag = interrupt.unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
-    let deadline = params.timeout.map(|d| t0 + d);
-    let _watchdog = Watchdog::arm(flag.clone(), deadline);
+    let interrupt = Interrupt {
+        flag: interrupt.unwrap_or_default(),
+        deadline: params.timeout.and_then(|d| t0.checked_add(d)),
+    };
 
     // Decide the skeleton family and possibly unroll the spec.
     let spec_loopy = !analysis::is_loop_free(spec);
@@ -208,7 +177,7 @@ pub fn synthesize_one(
         device,
         params,
         bounds,
-        flag,
+        interrupt,
         t0,
     )
 }
@@ -221,7 +190,7 @@ fn run_cegis(
     device: &DeviceProfile,
     params: &SynthParams,
     bounds: Bounds,
-    flag: Arc<AtomicBool>,
+    interrupt: Interrupt,
     t0: Instant,
 ) -> Result<SynthOutput, SynthError> {
     let tracer = ph_obs::current();
@@ -232,7 +201,7 @@ fn run_cegis(
     let k_spec = bounds.spec_iters + 1;
 
     let mut smt = Smt::new();
-    smt.set_interrupt(Some(flag.clone()));
+    smt.set_interrupt(Some(interrupt.clone()));
     let vars = build_vars(&mut smt, shape, device);
     stats.search_space_bits = vars.search_space_bits;
     tracer.gauge("cegis.search_space_bits", vars.search_space_bits as u64);
@@ -242,7 +211,7 @@ fn run_cegis(
     // shrink_masks trial) is checked under assumptions against this one
     // instance.
     let tv = Instant::now();
-    let mut verifier = IncrementalVerifier::new(shape, red_spec, l, k_impl, k_spec, &flag)?;
+    let mut verifier = IncrementalVerifier::new(shape, red_spec, l, k_impl, k_spec, &interrupt)?;
     stats.verify_solver_builds += 1;
     stats.verify_time += tv.elapsed();
 
@@ -345,7 +314,7 @@ fn run_cegis(
 
         // Inner CEGIS at this budget.
         for _iter in 0..params.max_cegis_iters {
-            if flag.load(Ordering::Relaxed) {
+            if interrupt.is_set() {
                 tracer.msg(Level::Debug, "interrupted mid-descent");
                 stats.wall = t0.elapsed();
                 stats.synth_sat = smt.solver_stats();
@@ -460,7 +429,13 @@ fn run_cegis(
     // which lets the post-synthesis chain merger absorb trivial states.
     // Each proposal is re-verified symbolically, so the pass is sound.
     if let Some(conc) = best.take() {
-        best = Some(shrink_masks(shape, &mut verifier, conc, &flag, &mut stats));
+        best = Some(shrink_masks(
+            shape,
+            &mut verifier,
+            conc,
+            &interrupt,
+            &mut stats,
+        ));
     }
     drop(run_span);
 
@@ -520,12 +495,12 @@ impl<'a> IncrementalVerifier<'a> {
         l: usize,
         k_impl: usize,
         k_spec: usize,
-        flag: &Arc<AtomicBool>,
+        interrupt: &Interrupt,
     ) -> Result<Self, SynthError> {
         let tracer = ph_obs::current();
         let _s = tracer.span("verify.encode");
         let mut smt = Smt::new();
-        smt.set_interrupt(Some(flag.clone()));
+        smt.set_interrupt(Some(interrupt.clone()));
         let input = smt.var("I", l as u32);
         // Counterexamples are read off `input` after every SAT verdict, so
         // its bits must survive CNF simplification.  Blasting any term
@@ -588,10 +563,10 @@ pub fn verify_candidate_fresh(
     l: usize,
     k_impl: usize,
     k_spec: usize,
-    flag: &Arc<AtomicBool>,
+    interrupt: &Interrupt,
 ) -> Result<Verdict, SynthError> {
     let mut vsmt = Smt::new();
-    vsmt.set_interrupt(Some(flag.clone()));
+    vsmt.set_interrupt(Some(interrupt.clone()));
     // This path is the differential-testing oracle for the incremental
     // (and simplifying) engine, so it deliberately runs the plain solver.
     vsmt.set_simplify(false);
@@ -626,7 +601,7 @@ fn shrink_masks(
     shape: &Shape,
     verifier: &mut IncrementalVerifier<'_>,
     mut conc: ConcreteSkel,
-    flag: &Arc<AtomicBool>,
+    interrupt: &Interrupt,
     stats: &mut SynthStats,
 ) -> ConcreteSkel {
     let tracer = ph_obs::current();
@@ -636,7 +611,7 @@ fn shrink_masks(
             if conc.entries[s][j].mask.count_ones() == 0 {
                 continue;
             }
-            if flag.load(Ordering::Relaxed) {
+            if interrupt.is_set() {
                 return conc;
             }
             let mut trial = conc.clone();

@@ -13,9 +13,8 @@ use ph_core::{OptConfig, SynthParams, Synthesizer};
 use ph_hw::DeviceProfile;
 use ph_ir::{FieldId, ParseStatus, ParserSpec};
 use ph_p4f::parse_parser;
+use ph_sat::Interrupt;
 use ph_smt::Smt;
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// The Fig. 7 two-state spec (Spec2): extract f0, branch on its first bit,
@@ -149,7 +148,7 @@ fn check_both(
     expect_verified: bool,
     what: &str,
 ) {
-    let flag = Arc::new(AtomicBool::new(false));
+    let interrupt = Interrupt::default();
     let fresh = verify_candidate_fresh(
         &fx.shape,
         &fx.red.spec,
@@ -157,7 +156,7 @@ fn check_both(
         fx.l,
         fx.k_impl,
         fx.k_spec,
-        &flag,
+        &interrupt,
     )
     .unwrap();
     let incr = verifier.verify(conc);
@@ -191,11 +190,17 @@ fn check_both(
 #[test]
 fn incremental_agrees_with_fresh_on_fig7() {
     let fx = fig7_fixture();
-    let flag = Arc::new(AtomicBool::new(false));
+    let interrupt = Interrupt::default();
     // ONE persistent verifier serves every candidate below.
-    let mut verifier =
-        IncrementalVerifier::new(&fx.shape, &fx.red.spec, fx.l, fx.k_impl, fx.k_spec, &flag)
-            .unwrap();
+    let mut verifier = IncrementalVerifier::new(
+        &fx.shape,
+        &fx.red.spec,
+        fx.l,
+        fx.k_impl,
+        fx.k_spec,
+        &interrupt,
+    )
+    .unwrap();
 
     let good = correct_candidate(&fx.shape);
     check_both(&fx, &mut verifier, &good, true, "correct candidate");

@@ -42,4 +42,4 @@ mod solver;
 
 pub use dimacs::{dump_cnf_if_requested, parse_dimacs, write_dimacs};
 pub use lit::{Lit, Var};
-pub use solver::{SolveResult, Solver, SolverStats};
+pub use solver::{Interrupt, SolveResult, Solver, SolverStats};

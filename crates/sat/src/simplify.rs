@@ -38,7 +38,6 @@
 
 use crate::lit::{Lit, Var};
 use crate::solver::{ClauseRef, LBool, Solver, Watch, REASON_NONE};
-use std::sync::atomic::Ordering;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -326,12 +325,6 @@ impl Solver {
             return false;
         }
         self.probe_failed_literals()
-    }
-
-    pub(crate) fn interrupted(&self) -> bool {
-        self.interrupt
-            .as_ref()
-            .is_some_and(|f| f.load(Ordering::Relaxed))
     }
 
     /// Is `cref` still a live problem clause containing `l`?  (Occurrence

@@ -19,6 +19,7 @@ use crate::arena::{tier_for_lbd, ClauseArena, TIER_LOCAL, TIER_MID};
 use crate::lit::{Lit, Var};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 pub(crate) use crate::arena::{ClauseRef, REASON_NONE};
 
@@ -56,8 +57,29 @@ pub enum SolveResult {
     Sat,
     /// Unsatisfiable (possibly only under the given assumptions).
     Unsat,
-    /// The conflict budget was exhausted before a verdict.
+    /// The conflict budget ran out, or the [`Interrupt`] was set, before a
+    /// verdict.
     Unknown,
+}
+
+/// Cooperative cancellation for a solver: a shared flag that another thread
+/// may set (a losing synthesis race branch), plus an optional wall-clock
+/// deadline.  Both are checked together wherever the solver polls for
+/// interruption, so enforcing a deadline needs no timer thread.
+#[derive(Clone, Debug, Default)]
+pub struct Interrupt {
+    /// Set by another thread to cancel.
+    pub flag: Arc<AtomicBool>,
+    /// Once this instant has passed, the interrupt counts as set.
+    pub deadline: Option<Instant>,
+}
+
+impl Interrupt {
+    /// Whether the flag is set or the deadline has passed.
+    #[inline]
+    pub fn is_set(&self) -> bool {
+        self.flag.load(Ordering::Relaxed) || self.deadline.is_some_and(|d| Instant::now() >= d)
+    }
 }
 
 /// Search statistics, useful for benchmark reporting.
@@ -185,8 +207,8 @@ pub struct Solver {
     gc_waste_frac: f64,
     /// Conflict budget for the next solve (None = unlimited).
     pub(crate) budget: Option<u64>,
-    /// Cooperative interrupt flag: when set, `solve` returns `Unknown`.
-    pub(crate) interrupt: Option<Arc<AtomicBool>>,
+    /// Cooperative interrupt: when set, `solve` returns `Unknown`.
+    pub(crate) interrupt: Option<Interrupt>,
     /// Variables the simplifier must never eliminate (external interface
     /// variables: assumption candidates and model-read variables).
     pub(crate) frozen: Vec<bool>,
@@ -270,12 +292,16 @@ impl Solver {
         }
     }
 
-    /// Installs a cooperative interrupt flag, checked once per conflict:
-    /// when another thread sets it, the current and subsequent solves return
-    /// [`SolveResult::Unknown`] promptly.  Used for wall-clock deadlines and
-    /// for cancelling losing branches of parallel synthesis races.
-    pub fn set_interrupt(&mut self, flag: Option<Arc<AtomicBool>>) {
-        self.interrupt = flag;
+    /// Installs a cooperative [`Interrupt`] (`None` removes it), checked
+    /// once per conflict and periodically inside the simplifier: once its
+    /// flag is set by another thread or its deadline passes, the current and
+    /// subsequent solves return [`SolveResult::Unknown`] promptly.
+    pub fn set_interrupt(&mut self, interrupt: Option<Interrupt>) {
+        self.interrupt = interrupt;
+    }
+
+    pub(crate) fn interrupted(&self) -> bool {
+        self.interrupt.as_ref().is_some_and(Interrupt::is_set)
     }
 
     /// Number of variables created so far.
@@ -1039,11 +1065,9 @@ impl Solver {
                         return SolveResult::Unknown;
                     }
                 }
-                if let Some(flag) = &self.interrupt {
-                    if flag.load(Ordering::Relaxed) {
-                        self.cancel_until(0);
-                        return SolveResult::Unknown;
-                    }
+                if self.interrupted() {
+                    self.cancel_until(0);
+                    return SolveResult::Unknown;
                 }
                 if conflicts_this_call >= restart_budget {
                     restart_idx += 1;
@@ -1311,9 +1335,9 @@ mod tests {
         assert_eq!(s.lit_value(a), Some(false));
     }
 
-    #[test]
-    fn budget_returns_unknown_or_verdict() {
-        let n = 8; // pigeonhole 8/7 is hard enough to exceed 10 conflicts
+    /// `n` pigeons into `n - 1` holes: unsatisfiable, and the search needs
+    /// more conflicts as `n` grows.
+    fn pigeonhole(n: usize) -> Solver {
         let mut s = Solver::new();
         let p: Vec<Vec<Lit>> = (0..n)
             .map(|_| (0..n - 1).map(|_| Lit::pos(s.new_var())).collect())
@@ -1328,10 +1352,38 @@ mod tests {
                 }
             }
         }
+        s
+    }
+
+    #[test]
+    fn budget_returns_unknown_or_verdict() {
+        // Pigeonhole 8/7 is hard enough to exceed 10 conflicts.
+        let mut s = pigeonhole(8);
         s.set_conflict_budget(Some(10));
         assert_eq!(s.solve(), None);
         s.set_conflict_budget(None);
         assert_eq!(s.solve(), Some(false));
+    }
+
+    #[test]
+    fn interrupt_deadline_and_flag_return_unknown() {
+        // An already-expired deadline trips by itself: no thread sets the
+        // flag.
+        let mut s = pigeonhole(6);
+        s.set_interrupt(Some(Interrupt {
+            flag: Arc::default(),
+            deadline: Some(Instant::now()),
+        }));
+        assert_eq!(s.solve(), None);
+        s.set_interrupt(None);
+        assert_eq!(s.solve(), Some(false));
+        // A set flag with no deadline.
+        let mut s = pigeonhole(6);
+        s.set_interrupt(Some(Interrupt {
+            flag: Arc::new(AtomicBool::new(true)),
+            deadline: None,
+        }));
+        assert_eq!(s.solve(), None);
     }
 
     #[test]

@@ -133,11 +133,11 @@ impl Smt {
         self.sat.set_conflict_budget(n);
     }
 
-    /// Installs a cooperative interrupt flag (see
-    /// [`ph_sat::Solver::set_interrupt`]); an interrupted check returns
-    /// [`SmtResult::Unknown`].
-    pub fn set_interrupt(&mut self, flag: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>) {
-        self.sat.set_interrupt(flag);
+    /// Installs a cooperative [`ph_sat::Interrupt`] — a cancel flag plus an
+    /// optional wall-clock deadline (see [`ph_sat::Solver::set_interrupt`]);
+    /// an interrupted check returns [`SmtResult::Unknown`].
+    pub fn set_interrupt(&mut self, interrupt: Option<ph_sat::Interrupt>) {
+        self.sat.set_interrupt(interrupt);
     }
 
     /// Enables or disables CNF simplification (preprocessing and

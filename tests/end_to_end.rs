@@ -5,11 +5,11 @@ use parserhawk::baseline::{compile_dp, compile_ipu, compile_tofino};
 use parserhawk::benchmarks::packets::PacketBuilder;
 use parserhawk::benchmarks::{registry, rewrite, suite};
 use parserhawk::core::validate::check_program_against_spec;
-use parserhawk::core::{OptConfig, SynthParams, Synthesizer};
+use parserhawk::core::{OptConfig, SynthError, SynthParams, Synthesizer};
 use parserhawk::hw::{check_program, run_program, DeviceProfile};
 use parserhawk::ir::{simulate, ParseStatus};
 use parserhawk::p4f::parse_parser;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn params(secs: u64) -> SynthParams {
     SynthParams {
@@ -233,4 +233,47 @@ fn naive_encoding_works_on_tiny_spec() {
         .expect("orig");
     assert!(orig.stats.search_space_bits > opt.stats.search_space_bits);
     assert_eq!(opt.program.entry_count(), orig.program.entry_count());
+}
+
+/// Deadlines need no timer thread: a zero budget trips at the first poll,
+/// both through the Opt7 race (Tofino, loop-free spec, when two cores are
+/// available) and through the single pipelined skeleton (IPU).
+#[test]
+fn zero_timeout_times_out_on_both_devices() {
+    let b = suite::parse_icmp();
+    for device in [DeviceProfile::tofino(), DeviceProfile::ipu()] {
+        let r = Synthesizer::new(device.clone(), OptConfig::all())
+            .with_params(SynthParams {
+                timeout: Some(Duration::ZERO),
+                ..Default::default()
+            })
+            .synthesize(&b.spec);
+        match r {
+            Err(SynthError::Timeout(_)) => {}
+            Err(e) => panic!("{}: expected a timeout, got {e}", device.name),
+            Ok(_) => panic!("{}: compiled under a zero budget", device.name),
+        }
+    }
+}
+
+/// A short deadline stops an hours-scale compile promptly; whatever it
+/// returns is either a timeout or a program that still validates.
+#[test]
+fn short_deadline_stops_a_hard_compile() {
+    let b = suite::sai_v2();
+    let t0 = Instant::now();
+    let r = Synthesizer::new(DeviceProfile::tofino(), OptConfig::all())
+        .with_params(SynthParams {
+            timeout: Some(Duration::from_millis(200)),
+            ..Default::default()
+        })
+        .synthesize(&b.spec);
+    let wall = t0.elapsed();
+    assert!(wall < Duration::from_secs(10), "took {wall:?}");
+    match r {
+        Err(SynthError::Timeout(_)) => {}
+        Ok(out) => check_program_against_spec(&b.spec, &out.program, 7, 300)
+            .unwrap_or_else(|e| panic!("best-so-far program fails validation: {e}")),
+        Err(e) => panic!("expected a timeout or a program, got {e}"),
+    }
 }
