@@ -1,7 +1,7 @@
 //! The exact benchmark gate against the committed baselines.
 //!
-//! `check_schema` must accept the committed `results/table{3,4,5}.json`,
-//! and `bench_diff` must pass the Table 3 baseline against itself but fail
+//! `check_schema` must accept the committed `results/table{3,4,5}.json`
+//! but reject a copy missing one declared stats key, and `bench_diff` must pass the Table 3 baseline against itself but fail
 //! it against a copy with one more TCAM entry, or with one `ok` run timed
 //! out at the same budget.
 
@@ -51,6 +51,21 @@ fn first_ok_run(v: &mut Json) -> Option<&mut Json> {
     }
 }
 
+/// The first object stored under `key`, depth first.
+fn first_block<'a>(v: &'a mut Json, key: &str) -> Option<&'a mut Json> {
+    match v {
+        Json::Obj(fields) => fields.iter_mut().find_map(|(k, c)| {
+            if k == key {
+                Some(c)
+            } else {
+                first_block(c, key)
+            }
+        }),
+        Json::Arr(items) => items.iter_mut().find_map(|c| first_block(c, key)),
+        _ => None,
+    }
+}
+
 /// Writes a copy of the Table 3 baseline with `edit` applied to its first
 /// successful run.
 fn mutated(dir: &Path, name: &str, edit: impl FnOnce(&mut Json)) -> PathBuf {
@@ -76,6 +91,23 @@ fn committed_baselines_pass_the_gate_and_mutants_fail_it() {
         code, 0,
         "check_schema rejected a committed baseline:\n{out}"
     );
+
+    // The required stats keys come from the `SynthStats` declaration.
+    let text = std::fs::read_to_string(baseline("table3")).expect("committed baseline");
+    let mut doc = Json::parse(&text).expect("baseline parses");
+    let verify_sat = first_block(&mut doc, "verify_sat").expect("baseline has a verify_sat block");
+    let Json::Obj(fields) = verify_sat else {
+        panic!("verify_sat is not an object");
+    };
+    fields.retain(|(k, _)| k != "learnts");
+    let no_learnts = dir.join("no_learnts.json");
+    std::fs::write(&no_learnts, doc.to_pretty()).unwrap();
+    let (code, out) = run(env!("CARGO_BIN_EXE_check_schema"), &[&no_learnts], &dir);
+    assert_eq!(
+        code, 1,
+        "a verify_sat block without learnts must fail:\n{out}"
+    );
+    assert!(out.contains("learnts"), "{out}");
 
     let t3 = baseline("table3");
     let (code, out) = bench_diff(&t3, &t3, &dir);

@@ -369,17 +369,13 @@ fn run_cegis(
             let verdict = verifier.verify(&candidate);
             let query = tv.elapsed();
             // Per-query solver effort: the delta this one check cost.
-            let delta = verifier.solver_stats().delta_since(before);
+            let delta = verifier.solver_stats().delta_since(&before);
             stats.verify_checks += 1;
             stats.hists.verify_query_ns.record(query.as_nanos() as u64);
             stats.hists.verify_conflicts.record(delta.conflicts);
             stats.max_verify_conflicts = stats.max_verify_conflicts.max(delta.conflicts);
-            if tracer.enabled() {
-                tracer.count("verify.conflicts", delta.conflicts);
-                tracer.count("verify.decisions", delta.decisions);
-                tracer.count("verify.propagations", delta.propagations);
-                tracer.record("verify.conflicts", delta.conflicts);
-            }
+            delta.emit(&tracer, "verify");
+            tracer.record("verify.conflicts", delta.conflicts);
             if let Verdict::Counterexample(cex) = &verdict {
                 stats.counterexamples += 1;
                 tracer.count("cegis.cex", 1);
@@ -626,10 +622,8 @@ fn shrink_masks(
             stats.shrink_time += dt;
             stats.hists.shrink_query_ns.record(dt.as_nanos() as u64);
             tracer.count("shrink.trials", 1);
-            if tracer.enabled() {
-                let d = verifier.solver_stats().delta_since(sat_before);
-                tracer.count("shrink.conflicts", d.conflicts);
-            }
+            let delta = verifier.solver_stats().delta_since(&sat_before);
+            delta.emit(&tracer, "shrink");
             if verdict == Verdict::Verified {
                 stats.shrink_accepted += 1;
                 tracer.count("shrink.accepted", 1);

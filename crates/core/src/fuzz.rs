@@ -171,30 +171,20 @@ impl std::fmt::Display for Divergence {
     }
 }
 
-/// Aggregate counters of one fuzzing run.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FuzzStats {
-    /// Seed packets materialized from accepting paths.
-    pub seeds: u64,
-    /// Packets compared (per program pair).
-    pub packets: u64,
-    /// Divergences reported.
-    pub divergences: u64,
-    /// Packets skipped because the spec hit its iteration budget.
-    pub incomparable: u64,
-    /// Total ddmin trials across all shrunk divergences.
-    pub shrink_steps: u64,
-}
-
-impl FuzzStats {
-    /// The counters as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("seeds", self.seeds)
-            .with("packets", self.packets)
-            .with("divergences", self.divergences)
-            .with("incomparable", self.incomparable)
-            .with("shrink_steps", self.shrink_steps)
+ph_obs::stats! {
+    /// Aggregate counters of one fuzzing run.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct FuzzStats {
+        /// Seed packets materialized from accepting paths.
+        seeds: u64 = "seeds",
+        /// Packets compared (per program pair).
+        packets: u64 = "packets",
+        /// Divergences reported.
+        divergences: u64 = "divergences",
+        /// Packets skipped because the spec hit its iteration budget.
+        incomparable: u64 = "incomparable",
+        /// Total ddmin trials across all shrunk divergences.
+        shrink_steps: u64 = "shrink_steps",
     }
 }
 
@@ -653,7 +643,6 @@ pub fn fuzz(spec: &ParserSpec, programs: &[(&str, &TcamProgram)], cfg: &FuzzConf
                 return;
             }
             stats.packets += 1;
-            tracer.count("fuzz.packets", 1);
             match compare_one(spec, name, program, input, cfg.iters, generator) {
                 Outcome::Agree => {}
                 Outcome::Incomparable => stats.incomparable += 1,
@@ -670,10 +659,8 @@ pub fn fuzz(spec: &ParserSpec, programs: &[(&str, &TcamProgram)], cfg: &FuzzConf
                         }
                         d.shrink_steps = steps;
                         stats.shrink_steps += steps;
-                        tracer.count("fuzz.shrink_steps", steps);
                     }
                     stats.divergences += 1;
-                    tracer.count("fuzz.divergences", 1);
                     divergences.push(*d);
                 }
             }
@@ -707,6 +694,7 @@ pub fn fuzz(spec: &ParserSpec, programs: &[(&str, &TcamProgram)], cfg: &FuzzConf
         run_input("random", &input, &mut stats, &mut divergences);
     }
 
+    stats.emit(&tracer, "fuzz");
     FuzzReport { stats, divergences }
 }
 

@@ -43,7 +43,6 @@ pub mod validate;
 
 use ph_hw::{DeviceProfile, TcamProgram};
 use ph_ir::ParserSpec;
-use ph_obs::Json;
 use ph_sat::SolverStats;
 use std::fmt;
 use std::time::Duration;
@@ -206,21 +205,24 @@ impl Default for SynthParams {
     }
 }
 
-/// Per-run latency histograms (log-bucketed, mergeable;
-/// [`ph_obs::Histogram`]).  Recorded unconditionally — they are a few
-/// bucket increments per solver query — so untraced benchmark runs
-/// still export tail latencies (p50/p90/p99) in `results/table*.json`.
-#[derive(Clone, Debug, Default)]
-pub struct RunHists {
-    /// Synthesis-phase solver query durations, in nanoseconds.
-    pub synth_query_ns: ph_obs::Histogram,
-    /// Verification query durations (candidate checks), in nanoseconds.
-    pub verify_query_ns: ph_obs::Histogram,
-    /// Mask-shrinking trial durations, in nanoseconds.
-    pub shrink_query_ns: ph_obs::Histogram,
-    /// CDCL conflicts per verification query — the distribution behind
-    /// [`SynthStats::max_verify_conflicts`].
-    pub verify_conflicts: ph_obs::Histogram,
+ph_obs::stats! {
+    /// Per-run latency histograms (log-bucketed, mergeable;
+    /// [`ph_obs::Histogram`]).  Recorded unconditionally — they are a few
+    /// bucket increments per solver query — so untraced benchmark runs
+    /// still export tail latencies (p50/p90/p99) in `results/table*.json`.
+    /// They decode empty, so cache entries keep no distributions.
+    #[derive(Clone, Debug, Default)]
+    pub struct RunHists {
+        /// Synthesis-phase solver query durations, in nanoseconds.
+        synth_query_ns: ph_obs::Histogram = "synth_query_ns",
+        /// Verification query durations (candidate checks), in nanoseconds.
+        verify_query_ns: ph_obs::Histogram = "verify_query_ns",
+        /// Mask-shrinking trial durations, in nanoseconds.
+        shrink_query_ns: ph_obs::Histogram = "shrink_query_ns",
+        /// CDCL conflicts per verification query — the distribution behind
+        /// [`SynthStats::max_verify_conflicts`].
+        verify_conflicts: ph_obs::Histogram = "verify_conflicts",
+    }
 }
 
 impl RunHists {
@@ -231,113 +233,62 @@ impl RunHists {
         self.shrink_query_ns.merge(&other.shrink_query_ns);
         self.verify_conflicts.merge(&other.verify_conflicts);
     }
-
-    /// The histograms as a JSON object of summaries
-    /// (`{count,min,max,mean,p50,p90,p99}` each).
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("synth_query_ns", self.synth_query_ns.summary_json())
-            .with("verify_query_ns", self.verify_query_ns.summary_json())
-            .with("shrink_query_ns", self.shrink_query_ns.summary_json())
-            .with("verify_conflicts", self.verify_conflicts.summary_json())
-    }
 }
 
-/// Statistics of a synthesis run (the Table 3 columns).
-#[derive(Clone, Debug, Default)]
-pub struct SynthStats {
-    /// Total width in bits of the skeleton's decision variables — the
-    /// "Search Space (bits)" column.
-    pub search_space_bits: usize,
-    /// CEGIS iterations across all budget levels.
-    pub cegis_iterations: usize,
-    /// Test cases accumulated.
-    pub test_cases: usize,
-    /// Counterexamples returned by verification.
-    pub counterexamples: usize,
-    /// Budget levels explored during minimization.
-    pub budget_levels: usize,
-    /// Verification solver instances constructed.  With the incremental
-    /// engine this is exactly 1 per synthesis run (it was one per candidate
-    /// plus one per `shrink_masks` trial before).
-    pub verify_solver_builds: usize,
-    /// Verification queries issued (candidate checks + mask-shrink trials).
-    pub verify_checks: usize,
-    /// Mask-shrinking trials attempted after the descent.
-    pub shrink_trials: usize,
-    /// Mask-shrinking trials that verified and were kept.
-    pub shrink_accepted: usize,
-    /// Wall-clock time inside synthesis-phase solver checks.
-    pub synth_time: Duration,
-    /// Wall-clock time inside verification (encoding + candidate queries;
-    /// mask-shrinking queries are accounted under
-    /// [`SynthStats::shrink_time`]).
-    pub verify_time: Duration,
-    /// Wall-clock time inside the mask-shrinking pass.
-    pub shrink_time: Duration,
-    /// Wall-clock time spent.
-    pub wall: Duration,
-    /// CDCL effort of the synthesis-phase solver (cumulative totals; the
-    /// per-query deltas stream out as `smt.*` / `verify.*` trace counters).
-    pub synth_sat: SolverStats,
-    /// CDCL effort of the persistent verification solver.
-    pub verify_sat: SolverStats,
-    /// The most conflicts any single verification query needed — the
-    /// worst-case incremental `check_assuming` cost.
-    pub max_verify_conflicts: u64,
-    /// 1 when this output was served from the synthesis-result cache
-    /// ([`SynthParams::cache`]); the other counters then describe the
-    /// *original* run that populated the entry.
-    pub cache_hits: u64,
-    /// 1 when a configured cache was consulted and missed (0 when no
-    /// cache was configured at all).
-    pub cache_misses: u64,
-    /// Per-query latency and conflict distributions.
-    pub hists: RunHists,
-}
-
-/// [`SolverStats`] as a JSON object.
-fn solver_stats_json(s: &SolverStats) -> Json {
-    Json::obj()
-        .with("conflicts", s.conflicts)
-        .with("decisions", s.decisions)
-        .with("propagations", s.propagations)
-        .with("restarts", s.restarts)
-        .with("learnts", s.learnts)
-        .with("clauses_added", s.clauses_added)
-        .with("eliminated_vars", s.eliminated_vars)
-        .with("subsumed_clauses", s.subsumed_clauses)
-        .with("strengthened_clauses", s.strengthened_clauses)
-        .with("failed_literals", s.failed_literals)
-        .with("simplify_time_ns", s.simplify_time_ns)
-        .with("arena_gcs", s.arena_gcs)
-        .with("arena_bytes", s.arena_bytes)
-}
-
-impl SynthStats {
-    /// The run statistics as a JSON object — the per-spec payload of the
-    /// machine-readable benchmark results (`results/table*.json`).
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("search_space_bits", self.search_space_bits)
-            .with("cegis_iterations", self.cegis_iterations)
-            .with("test_cases", self.test_cases)
-            .with("counterexamples", self.counterexamples)
-            .with("budget_levels", self.budget_levels)
-            .with("verify_solver_builds", self.verify_solver_builds)
-            .with("verify_checks", self.verify_checks)
-            .with("shrink_trials", self.shrink_trials)
-            .with("shrink_accepted", self.shrink_accepted)
-            .with("synth_time_s", self.synth_time.as_secs_f64())
-            .with("verify_time_s", self.verify_time.as_secs_f64())
-            .with("shrink_time_s", self.shrink_time.as_secs_f64())
-            .with("wall_s", self.wall.as_secs_f64())
-            .with("synth_sat", solver_stats_json(&self.synth_sat))
-            .with("verify_sat", solver_stats_json(&self.verify_sat))
-            .with("max_verify_conflicts", self.max_verify_conflicts)
-            .with("cache_hits", self.cache_hits)
-            .with("cache_misses", self.cache_misses)
-            .with("hists", self.hists.to_json())
+ph_obs::stats! {
+    /// Statistics of a synthesis run (the Table 3 columns).  `to_json` is
+    /// the per-spec payload of the machine-readable benchmark results
+    /// (`results/table*.json`) and of result-cache entries.
+    #[derive(Clone, Debug, Default)]
+    pub struct SynthStats {
+        /// Total width in bits of the skeleton's decision variables — the
+        /// "Search Space (bits)" column.
+        search_space_bits: usize = "search_space_bits",
+        /// CEGIS iterations across all budget levels.
+        cegis_iterations: usize = "cegis_iterations",
+        /// Test cases accumulated.
+        test_cases: usize = "test_cases",
+        /// Counterexamples returned by verification.
+        counterexamples: usize = "counterexamples",
+        /// Budget levels explored during minimization.
+        budget_levels: usize = "budget_levels",
+        /// Verification solver instances constructed.  With the incremental
+        /// engine this is exactly 1 per synthesis run (it was one per candidate
+        /// plus one per `shrink_masks` trial before).
+        verify_solver_builds: usize = "verify_solver_builds",
+        /// Verification queries issued (candidate checks + mask-shrink trials).
+        verify_checks: usize = "verify_checks",
+        /// Mask-shrinking trials attempted after the descent.
+        shrink_trials: usize = "shrink_trials",
+        /// Mask-shrinking trials that verified and were kept.
+        shrink_accepted: usize = "shrink_accepted",
+        /// Wall-clock time inside synthesis-phase solver checks.
+        synth_time: Duration = "synth_time_s",
+        /// Wall-clock time inside verification (encoding + candidate queries;
+        /// mask-shrinking queries are accounted under
+        /// [`SynthStats::shrink_time`]).
+        verify_time: Duration = "verify_time_s",
+        /// Wall-clock time inside the mask-shrinking pass.
+        shrink_time: Duration = "shrink_time_s",
+        /// Wall-clock time spent.
+        wall: Duration = "wall_s",
+        /// CDCL effort of the synthesis-phase solver (cumulative totals; the
+        /// per-query deltas stream out as `smt.*`/`verify.*`/`shrink.*` counters).
+        synth_sat: SolverStats = "synth_sat",
+        /// CDCL effort of the persistent verification solver.
+        verify_sat: SolverStats = "verify_sat",
+        /// The most conflicts any single verification query needed — the
+        /// worst-case incremental `check_assuming` cost.
+        max_verify_conflicts: u64 = "max_verify_conflicts",
+        /// 1 when this output was served from the synthesis-result cache
+        /// ([`SynthParams::cache`]); the other counters then describe the
+        /// *original* run that populated the entry.
+        cache_hits: u64 = "cache_hits",
+        /// 1 when a configured cache was consulted and missed (0 when no
+        /// cache was configured at all).
+        cache_misses: u64 = "cache_misses",
+        /// Per-query latency and conflict distributions.
+        hists: RunHists = "hists",
     }
 }
 

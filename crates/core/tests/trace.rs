@@ -172,15 +172,22 @@ fn synthesis_trace_is_wellformed_jsonl() {
         out.stats.shrink_trials as i64,
         "shrink-trial counter disagrees with stats"
     );
-    // The per-call conflict deltas partition the verifier's lifetime total:
-    // candidate checks stream as `verify.conflicts`, mask-shrink trials as
-    // `shrink.conflicts`, and nothing else runs the verification solver.
-    let traced_verify_conflicts = counters.get("verify.conflicts").copied().unwrap_or(0)
-        + counters.get("shrink.conflicts").copied().unwrap_or(0);
-    assert_eq!(
-        traced_verify_conflicts, out.stats.verify_sat.conflicts as i64,
-        "per-call conflict deltas must sum to the solver total"
-    );
+    // The per-call search deltas partition the verifier's lifetime totals:
+    // candidate checks stream as `verify.*`, mask-shrink trials as
+    // `shrink.*`, and nothing else searches with the verification solver.
+    // (Propagations are left out: top-level propagation also happens
+    // outside the checks.)
+    for (row, total) in [
+        ("conflicts", out.stats.verify_sat.conflicts),
+        ("decisions", out.stats.verify_sat.decisions),
+    ] {
+        let traced = counters.get(&format!("verify.{row}")).copied().unwrap_or(0)
+            + counters.get(&format!("shrink.{row}")).copied().unwrap_or(0);
+        assert_eq!(
+            traced, total as i64,
+            "per-call {row} deltas must sum to the solver total"
+        );
+    }
     assert!(out.stats.max_verify_conflicts <= out.stats.verify_sat.conflicts);
 }
 

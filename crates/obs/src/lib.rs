@@ -62,11 +62,13 @@ pub mod hist;
 pub mod json;
 pub mod profile;
 mod sink;
+pub mod stats;
 
 pub use heartbeat::HeartbeatSink;
 pub use hist::Histogram;
 pub use json::{Json, JsonError};
 pub use sink::{JsonlSink, MemorySink, NoopSink, OwnedEvent, Sink, Summary, SummarySink};
+pub use stats::StatValue;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;

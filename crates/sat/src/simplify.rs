@@ -211,14 +211,9 @@ impl Solver {
             // cleared by the watch rebuild).
             self.maybe_gc();
         }
-        if tracer.enabled() {
-            let d = self.stats.delta_since(before);
-            tracer.count("sat.simplify.eliminated_vars", d.eliminated_vars);
-            tracer.count("sat.simplify.subsumed_clauses", d.subsumed_clauses);
-            tracer.count("sat.simplify.strengthened_clauses", d.strengthened_clauses);
-            tracer.count("sat.simplify.failed_literals", d.failed_literals);
-            tracer.count("sat.simplify.time_ns", d.simplify_time_ns);
-        }
+        self.stats
+            .delta_since(&before)
+            .emit(&tracer, "sat.simplify");
         if !ok {
             self.ok = false;
         }

@@ -82,59 +82,41 @@ impl Interrupt {
     }
 }
 
-/// Search statistics, useful for benchmark reporting.
-#[derive(Clone, Copy, Default, Debug)]
-pub struct SolverStats {
-    /// Total conflicts encountered.
-    pub conflicts: u64,
-    /// Total decisions taken.
-    pub decisions: u64,
-    /// Total literals propagated.
-    pub propagations: u64,
-    /// Restarts performed.
-    pub restarts: u64,
-    /// Learned clauses currently retained.
-    pub learnts: u64,
-    /// Problem clauses submitted through [`Solver::add_clause`].
-    pub clauses_added: u64,
-    /// Variables removed by bounded variable elimination.
-    pub eliminated_vars: u64,
-    /// Clauses deleted because another clause subsumes them.
-    pub subsumed_clauses: u64,
-    /// Literals removed from clauses by unit strengthening or
-    /// self-subsumption.
-    pub strengthened_clauses: u64,
-    /// Top-level literals fixed by failed-literal probing.
-    pub failed_literals: u64,
-    /// Wall-clock time spent inside [`Solver::simplify`], in nanoseconds.
-    pub simplify_time_ns: u64,
-    /// Mark-compact collections of the clause arena.
-    pub arena_gcs: u64,
-    /// Current clause-arena size in bytes (a level, not a counter).
-    pub arena_bytes: u64,
-}
-
-impl SolverStats {
-    /// Effort spent since an earlier snapshot — the per-query cost of one
-    /// `solve`/`check_assuming` call.  `learnts` and `arena_bytes` are
-    /// levels, not counters, so their differences saturate at zero when the
-    /// database shrank.
-    pub fn delta_since(self, earlier: SolverStats) -> SolverStats {
-        SolverStats {
-            conflicts: self.conflicts - earlier.conflicts,
-            decisions: self.decisions - earlier.decisions,
-            propagations: self.propagations - earlier.propagations,
-            restarts: self.restarts - earlier.restarts,
-            learnts: self.learnts.saturating_sub(earlier.learnts),
-            clauses_added: self.clauses_added - earlier.clauses_added,
-            eliminated_vars: self.eliminated_vars - earlier.eliminated_vars,
-            subsumed_clauses: self.subsumed_clauses - earlier.subsumed_clauses,
-            strengthened_clauses: self.strengthened_clauses - earlier.strengthened_clauses,
-            failed_literals: self.failed_literals - earlier.failed_literals,
-            simplify_time_ns: self.simplify_time_ns - earlier.simplify_time_ns,
-            arena_gcs: self.arena_gcs - earlier.arena_gcs,
-            arena_bytes: self.arena_bytes.saturating_sub(earlier.arena_bytes),
-        }
+ph_obs::stats! {
+    /// Search statistics, useful for benchmark reporting.  Cumulative over
+    /// the solver's lifetime; [`SolverStats::delta_since`] gives the cost of
+    /// one `solve`/`check_assuming` call.  `learnts` and `arena_bytes` are
+    /// levels, not counters, so their deltas read zero when the database
+    /// shrank.
+    #[derive(Clone, Copy, Default, Debug)]
+    pub struct SolverStats {
+        /// Total conflicts encountered.
+        conflicts: u64 = "conflicts",
+        /// Total decisions taken.
+        decisions: u64 = "decisions",
+        /// Total literals propagated.
+        propagations: u64 = "propagations",
+        /// Restarts performed.
+        restarts: u64 = "restarts",
+        /// Learned clauses currently retained.
+        learnts: u64 = "learnts",
+        /// Problem clauses submitted through [`Solver::add_clause`].
+        clauses_added: u64 = "clauses_added",
+        /// Variables removed by bounded variable elimination.
+        eliminated_vars: u64 = "eliminated_vars",
+        /// Clauses deleted because another clause subsumes them.
+        subsumed_clauses: u64 = "subsumed_clauses",
+        /// Literals removed from clauses by unit strengthening or
+        /// self-subsumption.
+        strengthened_clauses: u64 = "strengthened_clauses",
+        /// Top-level literals fixed by failed-literal probing.
+        failed_literals: u64 = "failed_literals",
+        /// Wall-clock time spent inside [`Solver::simplify`], in nanoseconds.
+        simplify_time_ns: u64 = "simplify_time_ns",
+        /// Mark-compact collections of the clause arena.
+        arena_gcs: u64 = "arena_gcs",
+        /// Current clause-arena size in bytes (a level, not a counter).
+        arena_bytes: u64 = "arena_bytes",
     }
 }
 

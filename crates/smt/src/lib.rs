@@ -451,19 +451,14 @@ impl Smt {
             SolveResult::Unknown => SmtResult::Unknown,
         };
         if tracer.enabled() {
-            let d = self.sat.stats().delta_since(before);
-            tracer.count("smt.conflicts", d.conflicts);
-            tracer.count("smt.decisions", d.decisions);
-            tracer.count("smt.propagations", d.propagations);
-            tracer.count("smt.restarts", d.restarts);
-            let b = self.blaster.stats();
+            let after = self.sat.stats();
+            after.delta_since(&before).emit(&tracer, "smt");
+            // Levels: their deltas above are growth, not the current size.
             tracer.gauge("smt.terms", self.terms.len() as u64);
             tracer.gauge("smt.sat_vars", self.sat.num_vars() as u64);
-            tracer.gauge("smt.gate_vars", b.gate_vars);
-            tracer.gauge("smt.clauses_added", self.sat.stats().clauses_added);
-            tracer.gauge("smt.learnts", self.sat.stats().learnts);
-            tracer.count("smt.arena_gcs", d.arena_gcs);
-            tracer.gauge("smt.arena_bytes", self.sat.stats().arena_bytes);
+            tracer.gauge("smt.gate_vars", self.blaster.stats().gate_vars);
+            tracer.gauge("smt.learnts", after.learnts);
+            tracer.gauge("smt.arena_bytes", after.arena_bytes);
         }
         result
     }

@@ -1,7 +1,9 @@
 //! JSON codecs for the service's wire protocol and on-disk cache entries.
 //!
-//! The workspace has no serde; these functions translate the IR, hardware
-//! program and statistics types to and from [`ph_obs::Json`] by hand.  Every
+//! The workspace has no serde; these functions translate the IR and
+//! hardware program types to and from [`ph_obs::Json`] by hand, and the
+//! statistics through the codec generated from their `ph_obs::stats!`
+//! declaration.  Every
 //! `*_from_json` is total over arbitrary JSON input — malformed documents
 //! yield a [`CodecError`], never a panic — because both the daemon (network
 //! input) and the cache (disk input that may be truncated or bit-flipped)
@@ -22,9 +24,7 @@ use ph_ir::{
     Field, FieldId, FieldKind, KeyPart, NextState, ParserSpec, State, StateId, Transition, VarLen,
 };
 use ph_obs::Json;
-use ph_sat::SolverStats;
 use std::fmt;
-use std::time::Duration;
 
 /// A decoding failure: which path failed and why.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -56,24 +56,10 @@ fn get_usize(j: &Json, key: &str) -> Result<usize, CodecError> {
     }
 }
 
-fn get_u64(j: &Json, key: &str) -> Result<u64, CodecError> {
-    match get(j, key)?.as_i64() {
-        Some(v) if v >= 0 => Ok(v as u64),
-        _ => err(format!("field {key:?} is not a non-negative integer")),
-    }
-}
-
 fn get_i64(j: &Json, key: &str) -> Result<i64, CodecError> {
     match get(j, key)?.as_i64() {
         Some(v) => Ok(v),
         None => err(format!("field {key:?} is not an integer")),
-    }
-}
-
-fn get_f64(j: &Json, key: &str) -> Result<f64, CodecError> {
-    match get(j, key)?.as_f64() {
-        Some(v) => Ok(v),
-        None => err(format!("field {key:?} is not a number")),
     }
 }
 
@@ -413,54 +399,10 @@ pub fn program_from_json(j: &Json) -> Result<TcamProgram, CodecError> {
 // Synthesis statistics.
 // ---------------------------------------------------------------------------
 
-fn solver_stats_from_json(j: &Json) -> Result<SolverStats, CodecError> {
-    Ok(SolverStats {
-        conflicts: get_u64(j, "conflicts")?,
-        decisions: get_u64(j, "decisions")?,
-        propagations: get_u64(j, "propagations")?,
-        restarts: get_u64(j, "restarts")?,
-        learnts: get_u64(j, "learnts")?,
-        clauses_added: get_u64(j, "clauses_added")?,
-        eliminated_vars: get_u64(j, "eliminated_vars")?,
-        subsumed_clauses: get_u64(j, "subsumed_clauses")?,
-        strengthened_clauses: get_u64(j, "strengthened_clauses")?,
-        failed_literals: get_u64(j, "failed_literals")?,
-        simplify_time_ns: get_u64(j, "simplify_time_ns")?,
-        // Arena counters postdate some cached payloads; default to zero so
-        // old cache entries stay decodable.
-        arena_gcs: get_u64(j, "arena_gcs").unwrap_or(0),
-        arena_bytes: get_u64(j, "arena_bytes").unwrap_or(0),
-    })
-}
-
-/// Decodes the scalar portion of [`SynthStats::to_json`].
-///
-/// The latency histograms (`hists`) summarize a live run and are not
-/// reconstructible from their summary form; decoded stats carry empty
-/// histograms.  Cache entries therefore preserve the original run's
-/// counters and times but not its latency distribution.
+/// Decodes [`SynthStats::to_json`]: every key must be present and well
+/// typed; the latency histograms decode empty.
 pub fn stats_from_json(j: &Json) -> Result<SynthStats, CodecError> {
-    Ok(SynthStats {
-        search_space_bits: get_usize(j, "search_space_bits")?,
-        cegis_iterations: get_usize(j, "cegis_iterations")?,
-        test_cases: get_usize(j, "test_cases")?,
-        counterexamples: get_usize(j, "counterexamples")?,
-        budget_levels: get_usize(j, "budget_levels")?,
-        verify_solver_builds: get_usize(j, "verify_solver_builds")?,
-        verify_checks: get_usize(j, "verify_checks")?,
-        shrink_trials: get_usize(j, "shrink_trials")?,
-        shrink_accepted: get_usize(j, "shrink_accepted")?,
-        synth_time: Duration::from_secs_f64(get_f64(j, "synth_time_s")?.max(0.0)),
-        verify_time: Duration::from_secs_f64(get_f64(j, "verify_time_s")?.max(0.0)),
-        shrink_time: Duration::from_secs_f64(get_f64(j, "shrink_time_s")?.max(0.0)),
-        wall: Duration::from_secs_f64(get_f64(j, "wall_s")?.max(0.0)),
-        synth_sat: solver_stats_from_json(get(j, "synth_sat")?)?,
-        verify_sat: solver_stats_from_json(get(j, "verify_sat")?)?,
-        max_verify_conflicts: get_u64(j, "max_verify_conflicts")?,
-        cache_hits: get_u64(j, "cache_hits").unwrap_or(0),
-        cache_misses: get_u64(j, "cache_misses").unwrap_or(0),
-        hists: Default::default(),
-    })
+    SynthStats::from_json(j).map_err(CodecError)
 }
 
 #[cfg(test)]
@@ -468,6 +410,7 @@ mod tests {
     use super::*;
     use ph_bits::Ternary;
     use ph_ir::Field;
+    use ph_sat::SolverStats;
 
     fn sample_spec() -> ParserSpec {
         ParserSpec {
@@ -577,30 +520,69 @@ mod tests {
         assert_eq!(back, p);
     }
 
+    /// `keys` of `template`, each scalar row given a distinct value (a
+    /// float for float rows); a nested object whose keys are
+    /// `SolverStats::KEYS` is filled the same way, other objects (the
+    /// histogram summaries, which decode empty) are kept as they are.
+    fn distinct_payload(keys: &[&str], template: &Json, next: &mut i64) -> Json {
+        let mut p = Json::obj();
+        for &key in keys {
+            *next += 1;
+            let v = match template.get(key).unwrap() {
+                Json::Int(_) => Json::Int(*next),
+                Json::Float(_) => Json::Float(*next as f64 + 0.5),
+                nested if object_keys(nested) == SolverStats::KEYS => {
+                    distinct_payload(SolverStats::KEYS, nested, next)
+                }
+                other => other.clone(),
+            };
+            p.set(key, v);
+        }
+        p
+    }
+
+    fn object_keys(j: &Json) -> Vec<&str> {
+        j.as_obj()
+            .map_or(vec![], |f| f.iter().map(|(k, _)| k.as_str()).collect())
+    }
+
+    fn without(j: &Json, key: &str) -> Json {
+        Json::Obj(
+            j.as_obj()
+                .unwrap()
+                .iter()
+                .filter(|(k, _)| k != key)
+                .cloned()
+                .collect(),
+        )
+    }
+
     #[test]
-    fn stats_scalars_round_trip() {
-        let mut s = SynthStats {
-            search_space_bits: 123,
-            cegis_iterations: 7,
-            test_cases: 20,
-            counterexamples: 13,
-            wall: Duration::from_millis(4567),
-            max_verify_conflicts: 99,
-            cache_hits: 0,
-            cache_misses: 1,
-            ..Default::default()
-        };
-        s.synth_sat.conflicts = 1000;
-        s.verify_sat.propagations = 31337;
-        let back = stats_from_json(&Json::parse(&s.to_json().to_pretty()).unwrap()).unwrap();
-        assert_eq!(back.search_space_bits, 123);
-        assert_eq!(back.cegis_iterations, 7);
-        assert_eq!(back.counterexamples, 13);
-        assert_eq!(back.wall, Duration::from_millis(4567));
-        assert_eq!(back.synth_sat.conflicts, 1000);
-        assert_eq!(back.verify_sat.propagations, 31337);
-        assert_eq!(back.max_verify_conflicts, 99);
-        assert_eq!(back.cache_misses, 1);
+    fn stats_round_trip_every_row_and_require_every_key() {
+        let template = SynthStats::default().to_json();
+        let p = distinct_payload(SynthStats::KEYS, &template, &mut 0);
+        assert_eq!(object_keys(&p), SynthStats::KEYS);
+        let back = stats_from_json(&Json::parse(&p.to_pretty()).unwrap()).unwrap();
+        assert_eq!(back.to_json(), p);
+
+        for &key in SynthStats::KEYS {
+            assert!(
+                stats_from_json(&without(&p, key)).is_err(),
+                "decoded without {key:?}"
+            );
+            let block = p.get(key).unwrap();
+            if object_keys(block) != SolverStats::KEYS {
+                continue;
+            }
+            for &inner in SolverStats::KEYS {
+                let mut q = p.clone();
+                q.set(key, without(block, inner));
+                assert!(
+                    stats_from_json(&q).is_err(),
+                    "decoded without {key}.{inner}"
+                );
+            }
+        }
     }
 
     #[test]
