@@ -40,6 +40,7 @@ fn load(path: &str) -> Json {
 }
 
 fn main() -> ExitCode {
+    let config = ph_bench::Config::from_env();
     let mut paths = Vec::new();
     let mut json = false;
     for a in std::env::args().skip(1) {
@@ -61,7 +62,7 @@ fn main() -> ExitCode {
             .with("old", old_path.as_str())
             .with("new", new_path.as_str())
             .with("diff", report.to_json());
-        match report::write_results("bench_diff", &doc) {
+        match report::write_results(&config.results_dir, "bench_diff", &doc) {
             Ok(p) => eprintln!("bench_diff: wrote {}", p.display()),
             Err(e) => {
                 eprintln!("bench_diff: cannot write bench_diff.json: {e}");

@@ -459,6 +459,9 @@ fn check_trace(file: &str, text: &str) {
 }
 
 fn main() {
+    // Nothing here is configurable, but a stray `PH_*` name still fails
+    // closed like in every other binary.
+    ph_bench::Config::from_env();
     let files: Vec<String> = std::env::args().skip(1).collect();
     if files.is_empty() {
         eprintln!("usage: check_schema <results.json | trace.jsonl> ...");

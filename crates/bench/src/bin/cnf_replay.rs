@@ -1,7 +1,7 @@
 //! Replays dumped DIMACS queries with the CNF simplifier on and off.
 //!
 //! ```text
-//! PH_DUMP_CNF=/tmp/q PH_NO_SIMPLIFY=1 cargo run --release -p ph-bench --bin table3
+//! PH_DUMP_CNF=/tmp/q cargo run --release -p ph-bench --bin table3
 //! cargo run --release -p ph-bench --bin cnf_replay -- /tmp/q
 //! ```
 //!
@@ -9,9 +9,9 @@
 //! divergence: a different model from one query changes every subsequent
 //! counterexample, so the two legs solve *different* query sequences.
 //! Replaying a dumped stream solves byte-identical formulas on both legs,
-//! isolating the solver-level effect of simplification.  Dump with
-//! `PH_NO_SIMPLIFY=1` so the files hold the raw blasted CNF rather than an
-//! already-simplified database.
+//! isolating the solver-level effect of simplification.  While dumping,
+//! every solver runs unsimplified, so the files hold the raw blasted CNF
+//! rather than an already-simplified database.
 //!
 //! Each `query-*.cnf` is solved by a fresh solver per leg (the replay is
 //! one-shot, so the scheduler's conflict gate applies per query, as it
@@ -21,6 +21,7 @@
 //! queries; budget-exhausted queries are reported and excluded from the
 //! ratio.
 
+use ph_bench::Config;
 use ph_sat::{parse_dimacs, Lit, SolveResult, Var};
 use std::time::Instant;
 
@@ -67,6 +68,9 @@ fn run_leg(
 }
 
 fn main() {
+    let config = Config::from_env();
+    ph_obs::init_global(config.tracer());
+    let budget = config.replay_conflict_budget;
     let dir = match std::env::args().nth(1) {
         Some(d) => d,
         None => {
@@ -74,7 +78,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let budget: u64 = ph_bench::env_parse("PH_REPLAY_CONFLICT_BUDGET", 200_000);
 
     let mut files: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
         .unwrap_or_else(|e| panic!("cannot read {dir}: {e}"))

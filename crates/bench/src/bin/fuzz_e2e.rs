@@ -13,12 +13,10 @@
 //!
 //! Environment knobs:
 //!
-//! * `PH_FUZZ_FILTER=MPLS` — restrict cases by substring.
-//! * `PH_FUZZ_TIMEOUT_SECS` — synthesis budget per case (default 30).
+//! * `PH_FILTER=MPLS` — restrict cases by substring.
+//! * `PH_TIMEOUT_SECS` — synthesis budget per case (default 30).
 //! * `PH_FUZZ_SYNTH=0` — skip synthesis and fuzz only the baseline
 //!   translation (the fast CI smoke mode).
-//! * `PH_FUZZ_BUDGET` — per-case packet budget (default 0: run every
-//!   generated packet).
 //! * `PH_CACHE_DIR` — enables the `ph-svc` synthesis-result cache for the
 //!   per-case synthesis (the fuzzing itself always runs fresh).
 //! * `PH_FUZZ_CORRUPT=1` — mutation-testing mode: instead of checking the
@@ -31,12 +29,15 @@
 //! table, a machine-readable `results/fuzz_e2e.json` records every case
 //! with its counters and full divergence reports.
 
-use ph_bench::{env_parse, jobs_from_args, par_map, report};
+use ph_bench::{jobs_from_args, par_map, report, Config};
 use ph_core::fuzz::{fuzz, FuzzConfig, FuzzReport};
 use ph_core::{OptConfig, SynthParams, Synthesizer};
 use ph_hw::{DeviceProfile, HwNext, TcamProgram};
 use ph_obs::{Json, Level};
-use std::time::{Duration, Instant};
+use std::time::Instant;
+
+/// Per-case packet budget: 0 runs every generated packet.
+const PACKET_BUDGET: usize = 0;
 
 /// Corruption candidates: each entry's action flipped in turn
 /// (Accept/State → Reject, Reject → Accept).  Returns the corrupted
@@ -73,23 +74,19 @@ struct CaseOutcome {
 }
 
 fn main() {
-    let synth_budget = Duration::from_secs(env_parse("PH_FUZZ_TIMEOUT_SECS", 30));
-    let filter = std::env::var("PH_FUZZ_FILTER").unwrap_or_default();
-    let do_synth = std::env::var("PH_FUZZ_SYNTH")
-        .map(|v| v != "0")
-        .unwrap_or(true);
-    let corrupt = std::env::var("PH_FUZZ_CORRUPT")
-        .map(|v| v == "1")
-        .unwrap_or(false);
-    let packet_budget: usize = env_parse("PH_FUZZ_BUDGET", 0);
+    let config = Config::from_env();
+    let jobs = jobs_from_args();
+    let tracer = config.install();
+    let synth_budget = config.timeout(30);
+    let filter = config.filter.as_str();
+    let (do_synth, corrupt) = (config.fuzz_synth, config.fuzz_corrupt);
+    let cache = config.cache();
     let device = DeviceProfile::tofino();
-    let tracer = ph_obs::current();
 
     let cases: Vec<_> = ph_benchmarks::registry()
         .into_iter()
-        .filter(|c| filter.is_empty() || c.name.contains(&filter))
+        .filter(|c| c.name.contains(filter))
         .collect();
-    let jobs = jobs_from_args();
 
     println!(
         "Differential fuzzing oracle over {} cases ({} mode, synth {})\n",
@@ -110,7 +107,7 @@ fn main() {
         let started = Instant::now();
 
         let cfg = FuzzConfig {
-            packet_budget,
+            packet_budget: PACKET_BUDGET,
             // One shrunk witness per planted bug is enough in corrupt mode.
             max_divergences: if corrupt {
                 1
@@ -158,7 +155,7 @@ fn main() {
             let r = Synthesizer::new(device.clone(), OptConfig::all())
                 .with_params(SynthParams {
                     timeout: Some(synth_budget),
-                    cache: ph_svc::DiskCache::from_env(),
+                    cache: cache.clone(),
                     ..Default::default()
                 })
                 .synthesize(&case.spec);
@@ -279,9 +276,9 @@ fn main() {
     let doc = report::metadata("fuzz_e2e")
         .with("mode", if corrupt { "corrupt" } else { "check" })
         .with("synth", do_synth && !corrupt)
-        .with("filter", filter.as_str())
+        .with("filter", filter)
         .with("jobs", jobs as u64)
-        .with("packet_budget", packet_budget)
+        .with("packet_budget", PACKET_BUDGET)
         .with("rows", Json::Arr(rows_json))
         .with(
             "summary",
@@ -297,7 +294,7 @@ fn main() {
                     Json::Arr(uncaught.iter().map(|&n| Json::from(n)).collect()),
                 ),
         );
-    match report::write_results("fuzz_e2e", &doc) {
+    match report::write_results(&config.results_dir, "fuzz_e2e", &doc) {
         Ok(path) => println!("structured results: {}", path.display()),
         Err(e) => eprintln!("failed to write results file: {e}"),
     }

@@ -13,17 +13,22 @@
 //! discarded).  Disabled and enabled samples alternate so clock drift and
 //! thermal effects hit both sides equally; the medians are compared.
 //!
-//! Knobs: `PH_OBS_SAMPLES` (default 15 per side), `PH_OBS_BATCH` (default
-//! 20 runs per sample), `PH_OBS_MAX_OVERHEAD_PCT` (default 2.0; the run
-//! exits non-zero above it).  Results are recorded in EXPERIMENTS.md.
+//! Each side takes 15 samples of 20 runs.  `PH_OBS_MAX_OVERHEAD_PCT`
+//! (default 2.0) is the budget; the run exits non-zero above it.  Results
+//! are recorded in EXPERIMENTS.md.
 
-use ph_bench::env_parse;
+use ph_bench::Config;
 use ph_core::{OptConfig, SynthParams, Synthesizer};
 use ph_hw::DeviceProfile;
 use ph_ir::ParserSpec;
 use ph_obs::{NoopSink, Tracer};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Samples per side.
+const SAMPLES: usize = 15;
+/// Synthesis runs per sample.
+const BATCH: usize = 20;
 
 /// The Fig. 7 two-state spec — small enough to synthesize in milliseconds,
 /// real enough to exercise every instrumented phase.
@@ -46,10 +51,10 @@ fn fig7_spec() -> ParserSpec {
     .unwrap()
 }
 
-/// One sample: `batch` full synthesis runs with the given tracer.
-fn sample(spec: &ParserSpec, tracer: &Tracer, batch: usize) -> Duration {
+/// One sample: [`BATCH`] full synthesis runs with the given tracer.
+fn sample(spec: &ParserSpec, tracer: &Tracer) -> Duration {
     let t0 = Instant::now();
-    for _ in 0..batch {
+    for _ in 0..BATCH {
         let out = Synthesizer::new(
             DeviceProfile::tofino(),
             OptConfig {
@@ -75,38 +80,36 @@ fn median(xs: &mut [f64]) -> f64 {
 }
 
 fn main() {
-    let samples = env_parse::<usize>("PH_OBS_SAMPLES", 15).max(1);
-    let batch = env_parse::<usize>("PH_OBS_BATCH", 20).max(1);
-    let max_pct: f64 = env_parse("PH_OBS_MAX_OVERHEAD_PCT", 2.0);
+    let max_pct = Config::from_env().obs_max_overhead_pct;
 
     let spec = fig7_spec();
     let disabled = Tracer::disabled();
     let noop = Tracer::new(Arc::new(NoopSink));
 
     // Warm-up: fault in code and allocator state before timing.
-    sample(&spec, &disabled, batch);
-    sample(&spec, &noop, batch);
+    sample(&spec, &disabled);
+    sample(&spec, &noop);
 
-    let mut dis = Vec::with_capacity(samples);
-    let mut en = Vec::with_capacity(samples);
-    for i in 0..samples {
+    let mut dis = Vec::with_capacity(SAMPLES);
+    let mut en = Vec::with_capacity(SAMPLES);
+    for i in 0..SAMPLES {
         // Alternate starting side so neither always runs first.
         if i % 2 == 0 {
-            dis.push(sample(&spec, &disabled, batch).as_secs_f64());
-            en.push(sample(&spec, &noop, batch).as_secs_f64());
+            dis.push(sample(&spec, &disabled).as_secs_f64());
+            en.push(sample(&spec, &noop).as_secs_f64());
         } else {
-            en.push(sample(&spec, &noop, batch).as_secs_f64());
-            dis.push(sample(&spec, &disabled, batch).as_secs_f64());
+            en.push(sample(&spec, &noop).as_secs_f64());
+            dis.push(sample(&spec, &disabled).as_secs_f64());
         }
     }
 
     let med_dis = median(&mut dis);
     let med_en = median(&mut en);
-    let per_run_dis = med_dis / batch as f64;
-    let per_run_en = med_en / batch as f64;
+    let per_run_dis = med_dis / BATCH as f64;
+    let per_run_en = med_en / BATCH as f64;
     let overhead_pct = (med_en - med_dis) / med_dis * 100.0;
 
-    println!("obs overhead (fig7 synthesis, {samples} samples x {batch} runs):");
+    println!("obs overhead (fig7 synthesis, {SAMPLES} samples x {BATCH} runs):");
     println!("  disabled tracer: median {:.3} ms/run", per_run_dis * 1e3);
     println!("  no-op sink     : median {:.3} ms/run", per_run_en * 1e3);
     println!("  overhead       : {overhead_pct:+.2}% (budget {max_pct}%)");

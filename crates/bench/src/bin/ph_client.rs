@@ -11,25 +11,13 @@
 //! `--deadline-ms N`, `--quiet` (suppress the program listing).
 //! `PH_SVC_ADDR` provides the default address.
 //!
-//! Exit codes: 0 success, 1 usage/transport error, 2 synthesis failure
-//! or rejection.
+//! Exit codes: 0 success, 1 usage/transport error, 2 synthesis failure,
+//! rejection, or a flag or variable whose value does not parse.
 
+use ph_bench::{parse_flag, Config};
 use ph_svc::codec;
 use ph_svc::{Client, ClientError};
 use std::time::Duration;
-
-fn parse_flag(args: &[String], flag: &str) -> Option<String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            return it.next().cloned();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
 
 fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
@@ -44,10 +32,10 @@ fn usage() -> ! {
 }
 
 fn main() {
+    let env = Config::from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let addr = parse_flag(&args, "--addr")
-        .or_else(|| std::env::var("PH_SVC_ADDR").ok().filter(|a| !a.is_empty()))
-        .unwrap_or_else(|| "127.0.0.1:9077".into());
+    let addr: String = parse_flag(&args, "--addr").unwrap_or(env.svc_addr);
+    let deadline = parse_flag(&args, "--deadline-ms").map(Duration::from_millis);
 
     if has_flag(&args, "--list") {
         for case in ph_benchmarks::registry() {
@@ -101,7 +89,10 @@ fn main() {
     }
 
     // Submission path.
-    let spec = match (parse_flag(&args, "--case"), parse_flag(&args, "--p4f")) {
+    let spec = match (
+        parse_flag::<String>(&args, "--case"),
+        parse_flag::<String>(&args, "--p4f"),
+    ) {
         (Some(name), None) => {
             let registry = ph_benchmarks::registry();
             match registry.into_iter().find(|c| c.name == name) {
@@ -131,7 +122,7 @@ fn main() {
         _ => usage(),
     };
     let device = {
-        let name = parse_flag(&args, "--device").unwrap_or_else(|| "tofino".into());
+        let name: String = parse_flag(&args, "--device").unwrap_or_else(|| "tofino".into());
         match codec::device_by_name(&name) {
             Some(d) => d,
             None => {
@@ -140,9 +131,6 @@ fn main() {
             }
         }
     };
-    let deadline = parse_flag(&args, "--deadline-ms")
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(Duration::from_millis);
 
     let mut client = connect();
     let t0 = std::time::Instant::now();

@@ -11,43 +11,28 @@
 //!   beyond it are rejected explicitly.
 //! * `PH_CACHE_DIR` — enables the content-addressed result cache
 //!   (`PH_CACHE_BUDGET_BYTES` bounds its size).
+//! * `PH_TRACE` / `PH_TRACE_LEVEL` — trace the daemon's work.
+//!
+//! A flag or variable whose value does not parse exits with status 2.
 //!
 //! The daemon exits 0 after a graceful drain (SIGTERM or a `shutdown`
 //! request): it stops accepting, finishes queued and running jobs, and
 //! returns.
 
+use ph_bench::{parse_flag, Config};
 use ph_svc::{install_sigterm_drain, Server, ServerConfig};
 
-fn parse_flag(args: &[String], flag: &str) -> Option<String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            return it.next().cloned();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
 fn main() {
+    let env = Config::from_env();
+    env.install();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut config = ServerConfig::default();
-    if let Ok(addr) = std::env::var("PH_SVC_ADDR") {
-        if !addr.trim().is_empty() {
-            config.addr = addr;
-        }
-    }
-    if let Some(addr) = parse_flag(&args, "--addr") {
-        config.addr = addr;
-    }
-    if let Some(w) = parse_flag(&args, "--workers").and_then(|v| v.parse().ok()) {
-        config.workers = w;
-    }
-    if let Some(c) = parse_flag(&args, "--queue-cap").and_then(|v| v.parse().ok()) {
-        config.queue_cap = c;
-    }
+    let defaults = ServerConfig::default();
+    let config = ServerConfig {
+        addr: parse_flag(&args, "--addr").unwrap_or(env.svc_addr.clone()),
+        workers: parse_flag(&args, "--workers").unwrap_or(defaults.workers),
+        queue_cap: parse_flag(&args, "--queue-cap").unwrap_or(defaults.queue_cap),
+        cache: env.cache(),
+    };
 
     install_sigterm_drain();
     let server = match Server::bind(config.clone()) {

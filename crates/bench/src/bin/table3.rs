@@ -7,9 +7,9 @@
 //! cargo run -p ph-bench --release --bin table3
 //! ```
 //!
-//! `PH_OPT_TIMEOUT_SECS` / `PH_ORIG_TIMEOUT_SECS` adjust budgets; the naive
-//! column prints `>N` on timeout like the paper's `>86400` cells.
-//! `PH_TABLE3_FILTER=MPLS` restricts rows by substring.  `--jobs N` runs up
+//! `PH_TIMEOUT_SECS` (default 30) / `PH_ORIG_TIMEOUT_SECS` (default 10)
+//! adjust budgets; the naive column prints `>N` on timeout like the
+//! paper's `>86400` cells.  `PH_FILTER=MPLS` restricts rows by substring.  `--jobs N` runs up
 //! to N cases concurrently (default 1: fully sequential and deterministic);
 //! output order is identical either way.
 //!
@@ -24,8 +24,8 @@
 //! it unset when the timing columns themselves are the measurement.
 
 use ph_bench::{
-    baseline_ipu, baseline_tofino, env_parse, geomean, jobs_from_args, par_map, report,
-    run_parserhawk, short_failure,
+    baseline_ipu, baseline_tofino, geomean, jobs_from_args, par_map, report, run_parserhawk,
+    short_failure, Config,
 };
 use ph_core::OptConfig;
 use ph_hw::DeviceProfile;
@@ -33,9 +33,13 @@ use ph_obs::{Json, Level};
 use std::time::Duration;
 
 fn main() {
-    let opt_budget = Duration::from_secs(env_parse("PH_OPT_TIMEOUT_SECS", 30));
-    let orig_budget = Duration::from_secs(env_parse("PH_ORIG_TIMEOUT_SECS", 10));
-    let filter = std::env::var("PH_TABLE3_FILTER").unwrap_or_default();
+    let config = Config::from_env();
+    let jobs = jobs_from_args();
+    let tracer = config.install();
+    let opt_budget = config.timeout(30);
+    let orig_budget = Duration::from_secs(config.orig_timeout_secs);
+    let filter = config.filter.as_str();
+    let cache = config.cache();
     let tofino = DeviceProfile::tofino();
     let ipu = DeviceProfile::ipu();
 
@@ -68,13 +72,11 @@ fn main() {
     let mut total_cases = 0usize;
     let mut ph_failures = 0usize;
     let mut rows_json: Vec<Json> = Vec::new();
-    let tracer = ph_obs::current();
 
     let cases: Vec<_> = ph_benchmarks::registry()
         .into_iter()
-        .filter(|c| filter.is_empty() || c.name.contains(&filter))
+        .filter(|c| c.name.contains(filter))
         .collect();
-    let jobs = jobs_from_args();
     // Each job runs under its own case-tagged tracer stream, so interleaved
     // workers stay distinguishable in the trace; printing and aggregation
     // below consume the results in registry order regardless of jobs.
@@ -84,13 +86,15 @@ fn main() {
         t.msg_with(Level::Info, || format!("table3: running {}", case.name));
 
         // --- Tofino side -------------------------------------------------
-        let ph_t = run_parserhawk(&case.spec, &tofino, OptConfig::all(), opt_budget);
-        let orig_t = run_parserhawk(&case.spec, &tofino, OptConfig::none(), orig_budget);
+        let run =
+            |device, opts, budget| run_parserhawk(&case.spec, device, opts, budget, cache.clone());
+        let ph_t = run(&tofino, OptConfig::all(), opt_budget);
+        let orig_t = run(&tofino, OptConfig::none(), orig_budget);
         let bl_t = baseline_tofino(&case.spec, &tofino);
 
         // --- IPU side ----------------------------------------------------
-        let ph_i = run_parserhawk(&case.spec, &ipu, OptConfig::all(), opt_budget);
-        let orig_i = run_parserhawk(&case.spec, &ipu, OptConfig::none(), orig_budget);
+        let ph_i = run(&ipu, OptConfig::all(), opt_budget);
+        let orig_i = run(&ipu, OptConfig::none(), orig_budget);
         let bl_i = baseline_ipu(&case.spec, &ipu);
 
         (ph_t, orig_t, bl_t, ph_i, orig_i, bl_i)
@@ -218,7 +222,7 @@ fn main() {
     let doc = report::metadata("table3")
         .with("opt_timeout_s", opt_budget.as_secs())
         .with("orig_timeout_s", orig_budget.as_secs())
-        .with("filter", filter.as_str())
+        .with("filter", filter)
         .with("jobs", jobs as u64)
         .with("rows", Json::Arr(rows_json))
         .with(
@@ -232,7 +236,7 @@ fn main() {
                 .with("geomean_speedup", g)
                 .with("geomean_is_lower_bound", lb),
         );
-    match report::write_results("table3", &doc) {
+    match report::write_results(&config.results_dir, "table3", &doc) {
         Ok(path) => println!("\nstructured results: {}", path.display()),
         Err(e) => eprintln!("failed to write results file: {e}"),
     }

@@ -6,22 +6,25 @@
 //! ```
 //!
 //! `--jobs N` runs up to N rows concurrently (default 1); output order is
-//! identical either way.  `PH_CACHE_DIR=<dir>` enables the `ph-svc`
+//! identical either way.  `PH_TIMEOUT_SECS` sets the synthesis budget
+//! (default 30).  `PH_CACHE_DIR=<dir>` enables the `ph-svc`
 //! synthesis-result cache (cached rows report near-zero times — leave it
 //! unset when timing is the measurement).
 
 use ph_bench::{
-    baseline_dp, env_parse, jobs_from_args, par_map, report, run_parserhawk, short_failure,
+    baseline_dp, jobs_from_args, par_map, report, run_parserhawk, short_failure, Config,
 };
 use ph_benchmarks::registry::motivating_examples;
 use ph_core::OptConfig;
 use ph_hw::DeviceProfile;
 use ph_obs::{Json, Level};
-use std::time::Duration;
 
 fn main() {
-    let budget = Duration::from_secs(env_parse("PH_OPT_TIMEOUT_SECS", 30));
-    let tracer = ph_obs::current();
+    let config = Config::from_env();
+    let jobs = jobs_from_args();
+    let tracer = config.install();
+    let budget = config.timeout(30);
+    let cache = config.cache();
     let mut rows_json: Vec<Json> = Vec::new();
 
     // (row label, case name, device) — key width / lookahead window /
@@ -64,7 +67,6 @@ fn main() {
     );
 
     let cases = motivating_examples();
-    let jobs = jobs_from_args();
     // Each job gets its own row-tagged tracer stream; results land in row
     // order regardless of jobs, so the printed table never changes.
     let runs = par_map(jobs, &rows, |(label, name, device)| {
@@ -72,7 +74,7 @@ fn main() {
         let _g = ph_obs::set_thread_tracer(t.clone());
         t.msg_with(Level::Info, || format!("table4: running {label}"));
         let case = cases.iter().find(|c| c.name == *name).expect("case");
-        let ph = run_parserhawk(&case.spec, device, OptConfig::all(), budget);
+        let ph = run_parserhawk(&case.spec, device, OptConfig::all(), budget, cache.clone());
         let dp = baseline_dp(&case.spec, device);
         (ph, dp)
     });
@@ -108,7 +110,7 @@ fn main() {
         .with("opt_timeout_s", budget.as_secs())
         .with("jobs", jobs as u64)
         .with("rows", Json::Arr(rows_json));
-    match report::write_results("table4", &doc) {
+    match report::write_results(&config.results_dir, "table4", &doc) {
         Ok(path) => println!("\nstructured results: {}", path.display()),
         Err(e) => eprintln!("failed to write results file: {e}"),
     }

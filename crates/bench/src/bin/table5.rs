@@ -7,20 +7,23 @@
 //! ```
 //!
 //! `--jobs N` runs up to N (benchmark, device, config) cells concurrently
-//! (default 1); output order is identical either way.  `PH_CACHE_DIR=<dir>`
+//! (default 1); output order is identical either way.  `PH_TIMEOUT_SECS`
+//! sets the synthesis budget (default 60).  `PH_CACHE_DIR=<dir>`
 //! enables the `ph-svc` synthesis-result cache (cached cells report
 //! near-zero times — leave it unset when timing is the measurement).
 
-use ph_bench::{env_parse, jobs_from_args, par_map, report, run_parserhawk};
+use ph_bench::{jobs_from_args, par_map, report, run_parserhawk, Config};
 use ph_benchmarks::suite;
 use ph_core::OptConfig;
 use ph_hw::DeviceProfile;
 use ph_obs::{Json, Level};
-use std::time::Duration;
 
 fn main() {
-    let budget = Duration::from_secs(env_parse("PH_ABLATION_TIMEOUT_SECS", 60));
-    let tracer = ph_obs::current();
+    let config = Config::from_env();
+    let jobs = jobs_from_args();
+    let tracer = config.install();
+    let budget = config.timeout(60);
+    let cache = config.cache();
     let mut rows_json: Vec<Json> = Vec::new();
     let benches = vec![suite::sai_v1(), suite::dash_v1(), suite::large_tran_key()];
     let configs = [
@@ -51,14 +54,13 @@ fn main() {
             }
         }
     }
-    let jobs = jobs_from_args();
     let runs = par_map(jobs, &units, |(b, dev_name, dev, cfg_name, opts)| {
         let t = tracer.with_branch(&format!("{}/{dev_name}/{cfg_name}", b.name));
         let _g = ph_obs::set_thread_tracer(t.clone());
         t.msg_with(Level::Info, || {
             format!("table5: {} / {dev_name} / {cfg_name}", b.name)
         });
-        run_parserhawk(&b.spec, dev, *opts, budget)
+        run_parserhawk(&b.spec, dev, *opts, budget, cache.clone())
     });
 
     let per_bench = devices.len() * configs.len();
@@ -88,7 +90,7 @@ fn main() {
         .with("ablation_timeout_s", budget.as_secs())
         .with("jobs", jobs as u64)
         .with("rows", Json::Arr(rows_json));
-    match report::write_results("table5", &doc) {
+    match report::write_results(&config.results_dir, "table5", &doc) {
         Ok(path) => println!("\nstructured results: {}", path.display()),
         Err(e) => eprintln!("failed to write results file: {e}"),
     }

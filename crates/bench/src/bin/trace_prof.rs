@@ -31,6 +31,7 @@ fn usage() -> ! {
 }
 
 fn main() -> ExitCode {
+    let config = ph_bench::Config::from_env();
     let mut args = std::env::args().skip(1);
     let mut input: Option<String> = None;
     let mut top = 20usize;
@@ -100,7 +101,7 @@ fn main() -> ExitCode {
         let doc = report::metadata("profile")
             .with("source", path.as_str())
             .with("profile", profile.to_json());
-        match report::write_results("profile", &doc) {
+        match report::write_results(&config.results_dir, "profile", &doc) {
             Ok(p) => eprintln!("trace_prof: wrote {}", p.display()),
             Err(e) => {
                 eprintln!("trace_prof: cannot write profile.json: {e}");

@@ -11,29 +11,28 @@
 //! `obs_overhead` gates the tracing layer's cost.  Timing regressions are
 //! judged by the standalone `ledger` benchmark (`ledger compare`).
 //!
-//! Environment knobs (the timeout budgets parse through [`env_parse`],
-//! which rejects a value that does not parse):
-//!
-//! * `PH_OPT_TIMEOUT_SECS` — wall budget for optimized ParserHawk runs
-//!   (default 30).
-//! * `PH_ORIG_TIMEOUT_SECS` — wall budget for the naive "Orig" encoding
-//!   (default 10; the paper used 24 h — timeouts print as `>Ns`, exactly
-//!   like the paper's `>86400` rows).
-//! * `PH_CACHE_DIR` — enables the `ph-svc` content-addressed result
-//!   cache for every ParserHawk run (`PH_CACHE_BUDGET_BYTES` bounds its
-//!   size); repeated table runs then replay cached programs instead of
-//!   re-synthesizing.  Cached rows report near-zero times — use a fresh
-//!   or no cache directory when measuring synthesis itself.
+//! `phd` and `ph_client`, the synthesis daemon and its client, live here
+//! too, so every binary reads its configuration once through the same
+//! [`Config`]; `--jobs N` ([`jobs_from_args`]) sizes the [`par_map`]
+//! worker pool.  `PH_CACHE_DIR` enables the
+//! `ph-svc` content-addressed result cache for every ParserHawk run;
+//! repeated table runs then replay cached programs instead of
+//! re-synthesizing.  Cached rows report near-zero times — use a fresh or
+//! no cache directory when measuring synthesis itself.
 
+pub mod config;
 pub mod diff;
 pub mod harness;
+pub mod pool;
 pub mod report;
 
+pub use config::{jobs_from_args, parse_flag, Config};
+pub use pool::par_map;
+
 use ph_baseline::{compile_dp, compile_ipu, compile_tofino};
-use ph_core::{OptConfig, SynthError, SynthParams, SynthStats, Synthesizer};
+use ph_core::{CacheHook, OptConfig, SynthError, SynthParams, SynthStats, Synthesizer};
 use ph_hw::DeviceProfile;
 use ph_ir::ParserSpec;
-use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 /// Result of one compiler run on one case.
@@ -72,43 +71,20 @@ impl RunResult {
     }
 }
 
-/// Reads a numeric knob from the environment, failing closed: unset or
-/// empty yields `default`, and a value that does not parse as `T` exits
-/// with status 2 and a message naming the variable (so a typo such as
-/// `PH_OPT_TIMEOUT_SECS=1.5` cannot silently run the default budget).
-pub fn env_parse<T: FromStr>(name: &str, default: T) -> T {
-    let raw = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
-    parse_knob(name, raw.as_deref(), default).unwrap_or_else(|msg| {
-        eprintln!("{msg}");
-        std::process::exit(2)
-    })
-}
-
-/// The pure part of [`env_parse`]: `raw` is the variable's value, if set.
-fn parse_knob<T: FromStr>(name: &str, raw: Option<&str>, default: T) -> Result<T, String> {
-    match raw.map(str::trim) {
-        None | Some("") => Ok(default),
-        Some(v) => v.parse().map_err(|_| {
-            format!(
-                "{name}={v:?} does not parse as {}",
-                std::any::type_name::<T>()
-            )
-        }),
-    }
-}
-
-/// Runs ParserHawk on one case.
+/// Runs ParserHawk on one case, consulting `cache` when one is given
+/// ([`Config::cache`]).
 pub fn run_parserhawk(
     spec: &ParserSpec,
     device: &DeviceProfile,
     opts: OptConfig,
     timeout: Duration,
+    cache: Option<CacheHook>,
 ) -> RunResult {
     let t0 = Instant::now();
     let r = Synthesizer::new(device.clone(), opts)
         .with_params(SynthParams {
             timeout: Some(timeout),
-            cache: ph_svc::DiskCache::from_env(),
+            cache,
             ..Default::default()
         })
         .synthesize(spec);
@@ -143,11 +119,6 @@ pub fn run_parserhawk(
         },
     }
 }
-
-// The worker-pool primitives moved to `ph-svc` (the daemon shares them);
-// re-exported here so the table binaries and external callers keep their
-// `ph_bench::par_map` / `ph_bench::jobs_from_args` paths.
-pub use ph_svc::{jobs_from_args, par_map};
 
 /// Runs a baseline compiler closure, capturing failures as annotations.
 pub fn run_baseline<F>(f: F) -> RunResult
@@ -228,23 +199,16 @@ mod tests {
     }
 
     #[test]
-    fn knob_parsing_fails_closed() {
-        assert_eq!(parse_knob("K", None, 30u64), Ok(30));
-        assert_eq!(parse_knob("K", Some(""), 30u64), Ok(30));
-        assert_eq!(parse_knob("K", Some(" 45 "), 30u64), Ok(45));
-        assert_eq!(parse_knob("K", Some("2.5"), 1.0f64), Ok(2.5));
-        let err = parse_knob("PH_OPT_TIMEOUT_SECS", Some("1.5"), 30u64).unwrap_err();
-        assert!(err.contains("PH_OPT_TIMEOUT_SECS"), "{err}");
-        assert!(err.contains("1.5"), "{err}");
-        assert!(parse_knob("K", Some("-1"), 0usize).is_err());
-        assert!(parse_knob("K", Some("ten"), 1.0f64).is_err());
-    }
-
-    #[test]
     fn harness_runs_a_tiny_case() {
         let b = ph_benchmarks::suite::dash_v1();
         let dev = DeviceProfile::tofino();
-        let ph = run_parserhawk(&b.spec, &dev, OptConfig::all(), Duration::from_secs(30));
+        let ph = run_parserhawk(
+            &b.spec,
+            &dev,
+            OptConfig::all(),
+            Duration::from_secs(30),
+            None,
+        );
         assert!(ph.ok(), "{:?}", ph.failure);
         let bl = baseline_tofino(&b.spec, &dev);
         assert!(bl.ok());

@@ -1,33 +1,4 @@
-//! Worker-pool primitives shared by the daemon and the benchmark harness.
-//!
-//! [`par_map`] and [`jobs_from_args`] moved here from `ph-bench` (which
-//! re-exports them for compatibility) so both the table binaries and the
-//! service can use one implementation without a dependency cycle:
-//! `ph-bench` depends on `ph-svc` for the cache and the service, never the
-//! other way around.
-
-/// Parses `--jobs N` (or `--jobs=N`) from the process arguments; defaults
-/// to 1 (fully sequential, the deterministic path).
-pub fn jobs_from_args() -> usize {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let val = if a == "--jobs" {
-            args.next()
-        } else {
-            a.strip_prefix("--jobs=").map(str::to_string)
-        };
-        if let Some(v) = val {
-            match v.parse::<usize>() {
-                Ok(n) => return n.max(1),
-                Err(_) => {
-                    eprintln!("ignoring unparsable --jobs value {v:?}");
-                    return 1;
-                }
-            }
-        }
-    }
-    1
-}
+//! The worker pool behind the binaries' `--jobs N` flag.
 
 /// Order-preserving parallel map over a work list: up to `jobs` worker
 /// threads pull items off a shared index and results land at their item's

@@ -11,20 +11,12 @@
 
 use crate::RunResult;
 use ph_obs::Json;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime};
 
 /// Version stamp for the results-file shape.  Bump when a field is renamed
 /// or removed (additions are backwards-compatible and don't require a bump).
 pub const SCHEMA_VERSION: i64 = 1;
-
-/// The directory results files are written to (`PH_RESULTS_DIR`, default
-/// `results/`).
-pub fn results_dir() -> PathBuf {
-    std::env::var_os("PH_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"))
-}
 
 /// `git describe --always --dirty` of the working tree, or `"unknown"`
 /// outside a repository / without git.
@@ -84,11 +76,11 @@ pub fn run_json(r: &RunResult, budget: Duration) -> Json {
     o
 }
 
-/// Writes `doc` to `<results_dir>/<name>.json` (pretty-printed, trailing
-/// newline) and returns the path.  The directory is created on demand.
-pub fn write_results(name: &str, doc: &Json) -> std::io::Result<PathBuf> {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
+/// Writes `doc` to `<dir>/<name>.json` (pretty-printed, trailing newline)
+/// and returns the path.  The directory is created on demand; binaries
+/// pass [`Config::results_dir`](crate::Config::results_dir).
+pub fn write_results(dir: &Path, name: &str, doc: &Json) -> std::io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.json"));
     std::fs::write(&path, format!("{}\n", doc.to_pretty()))?;
     Ok(path)

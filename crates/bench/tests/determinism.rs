@@ -57,8 +57,8 @@ fn run_table3(dir: &PathBuf) -> Json {
     std::fs::create_dir_all(dir).unwrap();
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_table3"));
     cmd.env("PH_RESULTS_DIR", dir)
-        .env("PH_TABLE3_FILTER", "Parse Ethernet - R3")
-        .env("PH_OPT_TIMEOUT_SECS", "60")
+        .env("PH_FILTER", "Parse Ethernet - R3")
+        .env("PH_TIMEOUT_SECS", "60")
         // The naive encoding times out on every budget we can afford here;
         // keep that leg short — its stats are scrubbed as volatile anyway.
         .env("PH_ORIG_TIMEOUT_SECS", "1")

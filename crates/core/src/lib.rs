@@ -176,7 +176,7 @@ pub struct SynthParams {
     /// Run-scoped tracer.  `Some` installs the tracer as the thread tracer
     /// for the run's duration (Opt7 race branches derive per-branch
     /// streams from it); `None` inherits the ambient [`ph_obs::current`]
-    /// tracer, which defaults to the `PH_TRACE` environment configuration.
+    /// tracer, which is disabled unless the binary installed a global one.
     pub tracer: Option<ph_obs::Tracer>,
     /// Packet budget for the post-verification differential fuzzing gate
     /// ([`fuzz::check_e2e`]).  `0` (the default) disables the gate; the
@@ -185,8 +185,8 @@ pub struct SynthParams {
     /// Synthesis-result cache.  `Some` makes [`Synthesizer::synthesize`]
     /// consult the cache before solving and store successful outputs
     /// after; `None` (the default) always synthesizes from scratch.
-    /// `ph-svc` provides the content-addressed disk implementation and a
-    /// `PH_CACHE_DIR` environment constructor.
+    /// `ph-svc` provides the content-addressed disk implementation
+    /// (`ph_svc::DiskCache`).
     pub cache: Option<CacheHook>,
 }
 

@@ -27,15 +27,10 @@
 //!
 //! Instrumented code asks for the ambient tracer with [`current`]: the
 //! thread-local tracer if one is installed ([`set_thread_tracer`]), else
-//! the process-global one ([`global`]), which is initialized from the
-//! environment on first use:
-//!
-//! * `PH_TRACE=<path>` — write a JSON-lines trace to `<path>`;
-//! * `PH_TRACE=summary` — print messages live and an aggregate table at
-//!   exit;
-//! * `PH_TRACE_LEVEL=error|warn|info|debug|trace` — message verbosity
-//!   (default `info`);
-//! * unset — tracing disabled.
+//! the process-global one ([`global`]).  The global tracer is disabled
+//! unless the binary installs one with [`init_global`] before the first
+//! use; the library never reads the environment.  The benchmark binaries
+//! build theirs from `PH_TRACE` / `PH_TRACE_LEVEL` (see `ph_bench::Config`).
 //!
 //! A synthesis run can also carry its own tracer in
 //! `SynthParams::tracer`; the CEGIS engine installs it as the thread
@@ -57,14 +52,12 @@
 //! assert_eq!(sink.events().len(), 5); // 2 enters, 1 count, 2 exits
 //! ```
 
-pub mod heartbeat;
 pub mod hist;
 pub mod json;
 pub mod profile;
 mod sink;
 pub mod stats;
 
-pub use heartbeat::HeartbeatSink;
 pub use hist::Histogram;
 pub use json::{Json, JsonError};
 pub use sink::{JsonlSink, MemorySink, NoopSink, OwnedEvent, Sink, Summary, SummarySink};
@@ -92,16 +85,18 @@ pub enum Level {
     Trace,
 }
 
-impl Level {
+impl std::str::FromStr for Level {
+    type Err = ();
+
     /// Parses `"error"`/`"warn"`/... (case-insensitive).
-    pub fn parse(s: &str) -> Option<Level> {
+    fn from_str(s: &str) -> Result<Level, ()> {
         match s.to_ascii_lowercase().as_str() {
-            "error" => Some(Level::Error),
-            "warn" => Some(Level::Warn),
-            "info" => Some(Level::Info),
-            "debug" => Some(Level::Debug),
-            "trace" => Some(Level::Trace),
-            _ => None,
+            "error" => Ok(Level::Error),
+            "warn" => Ok(Level::Warn),
+            "info" => Ok(Level::Info),
+            "debug" => Ok(Level::Debug),
+            "trace" => Ok(Level::Trace),
+            _ => Err(()),
         }
     }
 }
@@ -268,37 +263,6 @@ impl Tracer {
                 hists: Arc::new(Mutex::new(BTreeMap::new())),
             })),
         }
-    }
-
-    /// Builds the tracer the environment asks for (see the
-    /// [crate docs](crate) for the `PH_TRACE` / `PH_TRACE_LEVEL` knobs).
-    /// Unset or unusable configurations yield a disabled tracer.
-    pub fn from_env() -> Tracer {
-        let verbosity = std::env::var("PH_TRACE_LEVEL")
-            .ok()
-            .and_then(|s| Level::parse(&s))
-            .unwrap_or(Level::Info);
-        let spec = std::env::var("PH_TRACE").unwrap_or_default();
-        if spec.is_empty() {
-            // No trace requested; PH_HEARTBEAT_SECS alone still gets
-            // periodic progress lines (over a no-op sink).
-            return match heartbeat::standalone_from_env() {
-                Some(sink) => Tracer::new(sink).with_verbosity(verbosity),
-                None => Tracer::disabled(),
-            };
-        }
-        let sink: Arc<dyn Sink> = if spec == "summary" {
-            Arc::new(SummarySink::stderr())
-        } else {
-            match JsonlSink::create(std::path::Path::new(&spec)) {
-                Ok(s) => Arc::new(s),
-                Err(e) => {
-                    eprintln!("ph-obs: cannot open PH_TRACE={spec}: {e}; tracing disabled");
-                    return Tracer::disabled();
-                }
-            }
-        };
-        Tracer::new(heartbeat::wrap_from_env(sink)).with_verbosity(verbosity)
     }
 
     /// Sets the message verbosity threshold.
@@ -495,10 +459,10 @@ impl Drop for Span {
 
 static GLOBAL: OnceLock<Tracer> = OnceLock::new();
 
-/// The process-global tracer; built from the environment
-/// ([`Tracer::from_env`]) on first use unless [`init_global`] ran first.
+/// The process-global tracer: the one [`init_global`] installed, else a
+/// disabled tracer.
 pub fn global() -> &'static Tracer {
-    GLOBAL.get_or_init(Tracer::from_env)
+    GLOBAL.get_or_init(Tracer::disabled)
 }
 
 /// Installs the process-global tracer programmatically.  Returns `false`

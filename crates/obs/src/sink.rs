@@ -51,7 +51,8 @@ impl JsonlSink {
     /// Creates (truncating) the file at `path`.
     ///
     /// The file is written *unbuffered* — one `write` per event.  The
-    /// global `PH_TRACE` tracer lives in a static that is never dropped,
+    /// global tracer ([`crate::init_global`]) lives in a static that is
+    /// never dropped,
     /// so anything still sitting in a userspace buffer at process exit
     /// would be lost, silently truncating the trace tail (typically the
     /// outermost span exits).
@@ -206,8 +207,8 @@ impl Summary {
 /// Human-readable sink: prints `msg` events to stderr as they happen
 /// (verbosity filtering happens in the tracer) and aggregates everything
 /// else into a [`Summary`] printed on [`Sink::flush`] or drop, whichever
-/// comes first.  The flush path matters for the global `PH_TRACE=summary`
-/// tracer, which lives in a never-dropped static: processes flush it
+/// comes first.  The flush path matters for a global summary tracer
+/// ([`crate::init_global`]), which lives in a never-dropped static: processes flush it
 /// before exiting ([`crate::Tracer::flush`]).
 pub struct SummarySink {
     state: Mutex<Summary>,

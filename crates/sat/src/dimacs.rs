@@ -4,6 +4,7 @@
 //! benchmarks, independent of the bit-vector layer.
 
 use crate::{Lit, Solver, Var};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -89,17 +90,33 @@ pub fn write_dimacs(solver: &Solver) -> String {
     out
 }
 
-/// When `PH_DUMP_CNF=<dir>` is set, writes the solver's current clause
-/// database — plus the query's assumptions, as `c` comments — to
-/// `<dir>/query-<n>.cnf` for offline debugging.  A no-op otherwise.
+/// The process-wide CNF dump directory (see [`set_cnf_dump_dir`]).
+static DUMP_DIR: OnceLock<PathBuf> = OnceLock::new();
+
+/// Makes every later [`dump_cnf_if_requested`] call write its query under
+/// `dir`, and turns simplification off in every solver created or
+/// reconfigured from then on, so the dumps hold the raw blasted CNF rather
+/// than an already-simplified database.  Set once per process, before any
+/// solving; returns `false` (and changes nothing) if a directory was
+/// already set.
+pub fn set_cnf_dump_dir(dir: impl Into<PathBuf>) -> bool {
+    DUMP_DIR.set(dir.into()).is_ok()
+}
+
+/// The directory set by [`set_cnf_dump_dir`], if any.
+pub(crate) fn cnf_dump_dir() -> Option<&'static Path> {
+    DUMP_DIR.get().map(PathBuf::as_path)
+}
+
+/// When a dump directory is set ([`set_cnf_dump_dir`]), writes the
+/// solver's current clause database — plus the query's assumptions, as `c`
+/// comments — to `<dir>/query-<n>.cnf` for offline replay (`cnf_replay`).
+/// A no-op otherwise.
 ///
-/// `ph-smt` calls this on every `check` query.  Note the dump reflects the
-/// database as the solver holds it *now*: after simplification it is the
-/// equisatisfiable simplified formula, not the raw blasted CNF.
+/// `ph-smt` calls this on every `check` query.
 pub fn dump_cnf_if_requested(solver: &Solver, assumptions: &[Lit]) {
-    static DIR: OnceLock<Option<std::path::PathBuf>> = OnceLock::new();
     static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let Some(dir) = DIR.get_or_init(|| std::env::var_os("PH_DUMP_CNF").map(Into::into)) else {
+    let Some(dir) = cnf_dump_dir() else {
         return;
     };
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
@@ -231,10 +248,10 @@ mod tests {
 
     #[test]
     fn dump_cnf_hook_writes_numbered_queries() {
-        // Must run before anything else in this binary touches the hook so
-        // the OnceLock caches our directory (nothing else here does).
+        // The only test in this binary that sets the process-wide
+        // directory.
         let dir = std::env::temp_dir().join(format!("ph_dump_cnf_test_{}", std::process::id()));
-        std::env::set_var("PH_DUMP_CNF", &dir);
+        assert!(set_cnf_dump_dir(&dir));
         let (s, _) = parse_dimacs("p cnf 2 2\n1 2 0\n-1 0\n").unwrap();
         dump_cnf_if_requested(&s, &[]);
         dump_cnf_if_requested(&s, &[Lit::neg(Var(1))]);

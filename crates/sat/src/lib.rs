@@ -40,6 +40,6 @@ mod lit;
 mod simplify;
 mod solver;
 
-pub use dimacs::{dump_cnf_if_requested, parse_dimacs, write_dimacs};
+pub use dimacs::{dump_cnf_if_requested, parse_dimacs, set_cnf_dump_dir, write_dimacs};
 pub use lit::{Lit, Var};
 pub use solver::{Interrupt, SolveResult, Solver, SolverStats};

@@ -38,7 +38,6 @@
 
 use crate::lit::{Lit, Var};
 use crate::solver::{ClauseRef, LBool, Solver, Watch, REASON_NONE};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Resolvents longer than this veto elimination of their pivot variable.
@@ -63,18 +62,6 @@ const PREPROCESS_MIN_NEW: usize = 64;
 pub(crate) const PREPROCESS_MIN_CONFLICTS: u64 = 5_000;
 /// Conflicts between inprocessing passes start here and double each time.
 pub(crate) const INPROCESS_GAP_INIT: u64 = 10_000;
-
-/// True when `PH_NO_SIMPLIFY` is set (to anything but `0` or the empty
-/// string): a triage escape hatch that turns every solver into the plain
-/// CDCL engine.
-pub(crate) fn simplify_disabled_by_env() -> bool {
-    static FLAG: OnceLock<bool> = OnceLock::new();
-    *FLAG.get_or_init(|| {
-        std::env::var("PH_NO_SIMPLIFY")
-            .map(|v| v != "0" && !v.is_empty())
-            .unwrap_or(false)
-    })
-}
 
 /// Scratch state for one simplification pass.
 struct SimpCtx {

@@ -18,7 +18,7 @@
 use crate::arena::{tier_for_lbd, ClauseArena, TIER_LOCAL, TIER_MID};
 use crate::lit::{Lit, Var};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 pub(crate) use crate::arena::{ClauseRef, REASON_NONE};
@@ -120,17 +120,6 @@ ph_obs::stats! {
     }
 }
 
-/// `PH_SAT_GC_LIMIT` override of the GC waste fraction (a float; `0` forces
-/// a collection after every deletion — the CI stress configuration).
-fn gc_limit_from_env() -> Option<f64> {
-    static V: OnceLock<Option<f64>> = OnceLock::new();
-    *V.get_or_init(|| {
-        std::env::var("PH_SAT_GC_LIMIT")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-    })
-}
-
 /// Default GC trigger: collect when tombstoned words exceed this fraction
 /// of the arena.
 const GC_WASTE_FRAC_DEFAULT: f64 = 0.25;
@@ -200,7 +189,7 @@ pub struct Solver {
     /// Model-reconstruction stack: for each eliminated variable, the pivot
     /// literal and the saved clauses containing it, in elimination order.
     pub(crate) elim_stack: Vec<(Lit, Vec<Vec<Lit>>)>,
-    /// Master switch for pre-/inprocessing (see `PH_NO_SIMPLIFY`).
+    /// Master switch for pre-/inprocessing (see [`Solver::set_simplify`]).
     pub(crate) simplify_enabled: bool,
     /// Whether a simplification pass has ever run.
     pub(crate) simplified_once: bool,
@@ -257,13 +246,13 @@ impl Solver {
             // Slot for decision level 0; one more per variable.
             lbd_stamp: vec![0],
             lbd_counter: 0,
-            gc_waste_frac: gc_limit_from_env().unwrap_or(GC_WASTE_FRAC_DEFAULT),
+            gc_waste_frac: GC_WASTE_FRAC_DEFAULT,
             budget: None,
             interrupt: None,
             frozen: Vec::new(),
             eliminated: Vec::new(),
             elim_stack: Vec::new(),
-            simplify_enabled: !crate::simplify::simplify_disabled_by_env(),
+            simplify_enabled: crate::dimacs::cnf_dump_dir().is_none(),
             simplified_once: false,
             new_since_simplify: 0,
             pending_subsumption: Vec::new(),
@@ -315,8 +304,7 @@ impl Solver {
     }
 
     /// Testing hook: overrides the waste fraction that triggers a GC
-    /// (`0.0` collects after every deletion).  `PH_SAT_GC_LIMIT` sets the
-    /// same knob process-wide.
+    /// (`0.0` collects after every deletion).
     #[doc(hidden)]
     pub fn set_gc_waste_limit(&mut self, frac: f64) {
         self.gc_waste_frac = frac.max(0.0);
@@ -377,10 +365,11 @@ impl Solver {
     }
 
     /// Enables or disables CNF simplification (preprocessing and
-    /// inprocessing).  Defaults to enabled unless `PH_NO_SIMPLIFY=1` is set
-    /// in the environment.
+    /// inprocessing).  Defaults to enabled.  While a CNF dump directory is
+    /// set ([`crate::set_cnf_dump_dir`]) simplification stays off, so the
+    /// dumped queries are the raw blasted CNF.
     pub fn set_simplify(&mut self, on: bool) {
-        self.simplify_enabled = on && !crate::simplify::simplify_disabled_by_env();
+        self.simplify_enabled = on && crate::dimacs::cnf_dump_dir().is_none();
     }
 
     /// Whether simplification is currently enabled.

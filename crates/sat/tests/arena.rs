@@ -175,3 +175,52 @@ fn dimacs_round_trip_survives_forced_gc() {
         assert_eq!(write_dimacs(&s2), out, "round {round}: unstable output");
     }
 }
+
+/// Collections *during search*: with a zero waste threshold every
+/// learnt-database reduction relocates the arena while the trail holds
+/// reason clauses above decision level 0 — the references conflict
+/// analysis dereferences without a liveness check.  Verdicts must match a
+/// solver with the default threshold, and models must satisfy the formula.
+#[test]
+fn collections_during_search_keep_verdicts_and_models() {
+    let mut rng = ph_bits::Rng::seed_from_u64(0x5ea2_c6c0);
+    let nv = 200usize;
+    let mut gcs = 0;
+    for round in 0..4 {
+        // Random 3-SAT at the phase transition: 5k-15k conflicts, so the
+        // 4000-learnt reduction runs mid-search.
+        let clauses: Vec<RClause> = (0..852)
+            .map(|_| {
+                (0..3)
+                    .map(|_| (rng.gen_range(0..nv), rng.gen_bool(0.5)))
+                    .collect()
+            })
+            .collect();
+        let solve = |gc_limit: Option<f64>| {
+            let mut s = Solver::new();
+            s.set_simplify(false);
+            if let Some(frac) = gc_limit {
+                s.set_gc_waste_limit(frac);
+            }
+            let vars: Vec<Var> = (0..nv).map(|_| s.new_var()).collect();
+            for c in &clauses {
+                s.add_clause(c.iter().map(|&(v, neg)| Lit::new(vars[v], neg)));
+            }
+            let verdict = s.solve();
+            let model_ok = verdict != Some(true)
+                || clauses
+                    .iter()
+                    .all(|c| c.iter().any(|&(v, neg)| s.value(vars[v]) == Some(!neg)));
+            (verdict, model_ok, s.stats().arena_gcs)
+        };
+        let (expected, _, _) = solve(None);
+        let (got, model_ok, round_gcs) = solve(Some(0.0));
+        assert_eq!(
+            got, expected,
+            "round {round}: verdict changed under forced GC"
+        );
+        assert!(model_ok, "round {round}: model violates the formula");
+        gcs += round_gcs;
+    }
+    assert!(gcs > 0, "no collection ran during search");
+}

@@ -32,9 +32,10 @@ fn build(nv: usize, clauses: &[RClause], simplify: bool) -> (Solver, Vec<Var>, b
     (s, vars, ok)
 }
 
-/// GC-stress knob: a zero waste threshold makes every tombstone trigger a
+/// GC-stress mode: a zero waste threshold makes every tombstone trigger a
 /// full mark-compact collection, so the differential loops exercise clause
-/// relocation (watch/reason/occurrence patching) on every simplification.
+/// relocation (watch/reason/occurrence patching) on every simplification
+/// and, in the plain solvers, on every learnt-database reduction.
 fn force_gc_mode(s: &mut Solver, on: bool) {
     if on {
         s.set_gc_waste_limit(0.0);
@@ -72,11 +73,12 @@ fn run_random_cnf(gc: bool, seed: u64) {
 
         let (mut plain, pvars, pok) = build(nv, &clauses, false);
         let (mut simp, svars, sok) = build(nv, &clauses, true);
+        force_gc_mode(&mut plain, gc);
         force_gc_mode(&mut simp, gc);
         assert_eq!(pok, sok, "round {round}: add_clause verdicts diverged");
         // Instances this small never trip the conflict-based scheduler, so
         // force a pass — the point here is the engine, not the economics.
-        if sok && simp.simplify_enabled() {
+        if sok {
             simp.simplify();
         }
         let expected = pok && plain.solve() == Some(true);
@@ -142,6 +144,7 @@ fn run_incremental_batches(gc: bool, seed: u64) {
                 with_units.push(vec![a]);
             }
             let (mut fresh, _, fok) = build(nv, &with_units, false);
+            force_gc_mode(&mut fresh, gc);
             let expected = fok && fresh.solve() == Some(true);
 
             let lits: Vec<Lit> = assumes
@@ -150,7 +153,7 @@ fn run_incremental_batches(gc: bool, seed: u64) {
                 .collect();
             // Force a pass per batch so repeated incremental simplification
             // is exercised even though these instances are conflict-free.
-            if inc_ok && inc.simplify_enabled() {
+            if inc_ok {
                 inc.simplify();
             }
             let got = inc_ok && inc.solve_with_assumptions(&lits) == SolveResult::Sat;
@@ -188,12 +191,8 @@ fn frozen_assumption_variable_is_not_eliminated() {
     };
 
     // Without freezing, `a` is precisely the kind of variable bounded
-    // elimination removes (skip under PH_NO_SIMPLIFY, which disables the
-    // engine this test is probing).
+    // elimination removes.
     let (mut plain, a, _, _) = mk();
-    if !plain.simplify_enabled() {
-        return;
-    }
     assert!(plain.simplify());
     assert!(
         plain.is_eliminated(a),
@@ -239,9 +238,7 @@ fn model_reconstruction_across_solves() {
             assert!(!x || y, "model breaks implication {:?} -> {:?}", w[0], w[1]);
         }
     };
-    if s.simplify_enabled() {
-        assert!(s.simplify());
-    }
+    assert!(s.simplify());
     assert_eq!(s.solve(), Some(true));
     check_chain(&s);
     // A second solve must still produce values for the eliminated middle.

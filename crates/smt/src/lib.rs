@@ -141,9 +141,9 @@ impl Smt {
     }
 
     /// Enables or disables CNF simplification (preprocessing and
-    /// inprocessing) in the underlying SAT solver.  On by default unless the
-    /// `PH_NO_SIMPLIFY` environment variable is set; that kill switch wins
-    /// over `set_simplify(true)`.
+    /// inprocessing) in the underlying SAT solver.  On by default; while a
+    /// CNF dump directory is set ([`ph_sat::set_cnf_dump_dir`]) it stays
+    /// off, and that wins over `set_simplify(true)`.
     ///
     /// The blaster freezes every cached term literal, so simplification is
     /// always safe to combine with incremental use of this API.

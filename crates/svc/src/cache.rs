@@ -33,7 +33,7 @@
 
 use crate::codec;
 use ph_bits::Sha256;
-use ph_core::{CacheHook, OptConfig, SynthCache, SynthOutput, SynthParams};
+use ph_core::{OptConfig, SynthCache, SynthOutput, SynthParams};
 use ph_hw::DeviceProfile;
 use ph_ir::canon::{canonicalize, spec_fingerprint_text, Canon};
 use ph_ir::{FieldId, KeyPart, ParserSpec};
@@ -46,13 +46,6 @@ use std::time::SystemTime;
 /// Bumped whenever the entry layout or key derivation changes; old
 /// entries then read as stale and are recomputed.
 pub const CACHE_FORMAT_VERSION: u32 = 4;
-
-/// Environment variable naming the cache directory.  Unset or empty means
-/// no cache.
-pub const CACHE_DIR_ENV: &str = "PH_CACHE_DIR";
-
-/// Environment variable overriding the size budget in bytes.
-pub const CACHE_BUDGET_ENV: &str = "PH_CACHE_BUDGET_BYTES";
 
 /// Default size budget: 256 MiB.
 pub const DEFAULT_BUDGET_BYTES: u64 = 256 * 1024 * 1024;
@@ -85,24 +78,6 @@ impl DiskCache {
     /// The cache directory.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// Builds a cache from `PH_CACHE_DIR` / `PH_CACHE_BUDGET_BYTES`, as a
-    /// ready-to-install [`SynthParams::cache`] hook.  Returns `None` when
-    /// `PH_CACHE_DIR` is unset or empty.
-    pub fn from_env() -> Option<CacheHook> {
-        let dir = std::env::var(CACHE_DIR_ENV).ok()?;
-        if dir.trim().is_empty() {
-            return None;
-        }
-        let mut cache = DiskCache::new(dir);
-        if let Some(budget) = std::env::var(CACHE_BUDGET_ENV)
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-        {
-            cache.budget_bytes = budget;
-        }
-        Some(CacheHook(std::sync::Arc::new(cache)))
     }
 
     /// The content key for one synthesis context, as 64 hex digits.
@@ -388,7 +363,7 @@ impl SynthCache for DiskCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ph_core::{OptConfig, SynthParams, Synthesizer};
+    use ph_core::{CacheHook, Synthesizer};
     use std::sync::atomic::AtomicU32;
 
     fn tmp_dir(tag: &str) -> PathBuf {

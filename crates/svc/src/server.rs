@@ -98,7 +98,7 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:9077".into(),
             workers: 2,
             queue_cap: 64,
-            cache: DiskCache::from_env(),
+            cache: None,
         }
     }
 }

@@ -23,10 +23,11 @@
 //! * [`core`] — the ParserHawk synthesis engine itself.
 //! * [`benchmarks`] — the paper's benchmark suite and rewrite rules.
 //! * [`obs`] — structured tracing and metrics for the synthesis pipeline
-//!   (spans, counters, JSON-lines traces; see `PH_TRACE`).
+//!   (spans, counters, JSON-lines traces; the binaries enable it with
+//!   `PH_TRACE`, a library caller with `obs::init_global`).
 //! * [`svc`] — the synthesis service: a content-addressed on-disk result
-//!   cache (`PH_CACHE_DIR`) and the `phd` JSON-over-TCP daemon with
-//!   single-flight dedup and bounded-queue backpressure.
+//!   cache and the JSON-over-TCP daemon behind `phd`, with single-flight
+//!   dedup and bounded-queue backpressure.
 //!
 //! ## Quickstart
 //!
