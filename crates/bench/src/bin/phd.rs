@@ -34,7 +34,6 @@ fn main() {
         cache: env.cache(),
     };
 
-    install_sigterm_drain();
     let server = match Server::bind(config.clone()) {
         Ok(s) => s,
         Err(e) => {
@@ -42,6 +41,9 @@ fn main() {
             std::process::exit(1);
         }
     };
+    // Installed before the `listening on` line, so a supervisor that waits
+    // for it can always drain the daemon with SIGTERM.
+    install_sigterm_drain(server.shutdown_handle());
     match server.local_addr() {
         Ok(addr) => println!("phd: listening on {addr}"),
         Err(_) => println!("phd: listening on {}", config.addr),

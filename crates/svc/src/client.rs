@@ -77,10 +77,11 @@ pub struct SubmitOutcome {
     pub stats: Json,
 }
 
-/// A blocking connection to a daemon.
+/// A blocking connection to a daemon.  Each request goes out in one
+/// write on a `TCP_NODELAY` socket, so a round trip never waits on
+/// Nagle's algorithm.
 pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    stream: BufReader<TcpStream>,
 }
 
 impl Client {
@@ -91,10 +92,9 @@ impl Client {
     /// Propagates connect failures.
     pub fn connect(addr: &str) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
-        let writer = stream.try_clone()?;
+        stream.set_nodelay(true)?;
         Ok(Client {
-            reader: BufReader::new(stream),
-            writer,
+            stream: BufReader::new(stream),
         })
     }
 
@@ -105,10 +105,11 @@ impl Client {
     /// Transport failures and unparsable responses; `"ok": false`
     /// responses are returned as [`ClientError::Daemon`].
     pub fn request(&mut self, req: &Json) -> Result<Json, ClientError> {
-        writeln!(self.writer, "{req}")?;
-        self.writer.flush()?;
+        let mut out = req.to_string();
+        out.push('\n');
+        self.stream.get_mut().write_all(out.as_bytes())?;
         let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
+        let n = self.stream.read_line(&mut line)?;
         if n == 0 {
             return Err(ClientError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,

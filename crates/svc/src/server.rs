@@ -3,9 +3,9 @@
 //!
 //! Architecture:
 //!
-//! * the **accept loop** (the thread inside [`Server::run`]) takes
-//!   connections off a non-blocking [`TcpListener`] and hands each to its
-//!   own handler thread;
+//! * the **accept loop** (the thread inside [`Server::run`]) blocks in
+//!   [`TcpListener::accept`] and hands each connection to its own handler
+//!   thread;
 //! * handler threads parse line-delimited requests ([`crate::proto`]) and
 //!   operate on the shared state.  `submit` pushes a job id onto a
 //!   **bounded queue** — when the queue is at capacity the request is
@@ -22,9 +22,17 @@
 //!   and the later ones replay the cache entry remapped to their own
 //!   fields.  Combined with the cache this gives exactly-one-synthesis for
 //!   any burst of identical requests;
-//! * **graceful drain**: a `shutdown` request, a [`ShutdownHandle`], or
-//!   SIGTERM stops the accept loop, lets queued and running jobs finish,
-//!   joins the workers and returns `Ok(())` — so `phd` exits 0.
+//! * **graceful drain**: a `shutdown` request or a [`ShutdownHandle`]
+//!   sets the draining flag and wakes the blocked accept by connecting to
+//!   the listener's own address; the accept loop sees the flag, stops
+//!   accepting, lets queued and running jobs finish, joins the workers
+//!   and returns `Ok(())` — so `phd` exits 0.  SIGTERM reaches the same
+//!   path through [`install_sigterm_drain`], which the binary calls.
+//!
+//! Socket discipline: every line — request or reply — is formatted into
+//! one buffer and sent with one `write_all`, and both ends set
+//! `TCP_NODELAY`, so a round trip never waits on Nagle's algorithm and a
+//! delayed ACK.
 //!
 //! Lock discipline: `inflight` may be held while taking `jobs` or
 //! `queue`; `jobs` and `queue` are never held while waiting for
@@ -44,22 +52,28 @@ use ph_ir::canon::spec_fingerprint_text;
 use ph_obs::Json;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use ph_core::CacheHook;
 
-/// Set by the SIGTERM handler; polled by every running server's accept
-/// loop (process-global because signal dispositions are).
+/// Set by the SIGTERM handler; polled by the `phd-sigterm` thread
+/// (process-global because signal dispositions are).
 static TERM_REQUESTED: AtomicBool = AtomicBool::new(false);
 
-/// Installs a SIGTERM handler that requests a graceful drain.  The
-/// workspace links no `libc` crate; `std` already links the platform C
-/// library, so the raw `signal(2)` symbol is declared directly.
+/// Installs a SIGTERM handler that drains the server behind `handle`.
+///
+/// The handler only stores a flag (all that is async-signal-safe), and a
+/// `phd-sigterm` thread checks it every 50 ms and calls
+/// [`ShutdownHandle::shutdown`].  The accept loop cannot watch the flag
+/// itself: glibc's `signal` installs handlers with `SA_RESTART`, so a
+/// blocked `accept` never returns `EINTR`.  The workspace links no `libc`
+/// crate; `std` already links the platform C library, so the raw
+/// `signal(2)` symbol is declared directly.
 #[cfg(unix)]
-pub fn install_sigterm_drain() {
+pub fn install_sigterm_drain(handle: ShutdownHandle) {
     extern "C" {
         fn signal(signum: i32, handler: usize) -> usize;
     }
@@ -68,15 +82,27 @@ pub fn install_sigterm_drain() {
         TERM_REQUESTED.store(true, Ordering::SeqCst);
     }
     const SIGTERM: i32 = 15;
+    // SAFETY: `signal(2)` takes a signal number and a handler address;
+    // `on_term` is an `extern "C" fn(i32)` that only stores an atomic.
     unsafe {
         signal(SIGTERM, on_term as *const () as usize);
     }
+    // Detached: the watcher lives until the signal or process exit.
+    std::thread::Builder::new()
+        .name("phd-sigterm".into())
+        .spawn(move || {
+            while !TERM_REQUESTED.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            handle.shutdown();
+        })
+        .expect("spawn SIGTERM watcher");
 }
 
 /// Non-Unix fallback: SIGTERM drain is unavailable; `shutdown` requests
 /// and [`ShutdownHandle`] still work.
 #[cfg(not(unix))]
-pub fn install_sigterm_drain() {}
+pub fn install_sigterm_drain(_handle: ShutdownHandle) {}
 
 /// Daemon configuration.
 #[derive(Clone, Debug)]
@@ -166,13 +192,22 @@ struct Shared {
     inflight: Mutex<HashMap<String, u64>>,
     next_job: AtomicU64,
     draining: AtomicBool,
+    /// The listener's address with an unspecified IP mapped to loopback:
+    /// [`Shared::drain`] connects here to wake the blocked accept.
+    wake_addr: SocketAddr,
     counters: Counters,
     config: ServerConfig,
 }
 
 impl Shared {
+    /// Sets the draining flag and, the first time, wakes the accept loop
+    /// with a throwaway connection.  Before [`Server::run`] starts, that
+    /// connection waits in the listen backlog; after it returns, the
+    /// refused connect is harmless.
     fn drain(&self) {
-        self.draining.store(true, Ordering::SeqCst);
+        if !self.draining.swap(true, Ordering::SeqCst) {
+            let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+        }
         self.queue_cv.notify_all();
     }
 
@@ -564,14 +599,12 @@ fn handle_request(shared: &Shared, req: Request) -> (Json, bool) {
     }
 }
 
-/// Serves one connection: line in, line out.  Reads poll with a timeout
-/// so an idle connection notices a drain instead of pinning the join.
+/// Serves one connection: line in, line out, each reply sent with one
+/// write on a `TCP_NODELAY` socket.  Reads poll with a timeout so an idle
+/// connection notices a drain instead of pinning the join.
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     loop {
@@ -598,10 +631,11 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
                 (proto::error_response(&e.to_string()), false)
             }
         };
-        if writeln!(writer, "{resp}").is_err() {
+        let mut reply = resp.to_string();
+        reply.push('\n');
+        if reader.get_mut().write_all(reply.as_bytes()).is_err() {
             break;
         }
-        let _ = writer.flush();
         if drain {
             shared.drain();
             break;
@@ -638,7 +672,13 @@ impl Server {
     /// Propagates the bind failure.
     pub fn bind(config: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
@@ -647,6 +687,7 @@ impl Server {
             inflight: Mutex::new(HashMap::new()),
             next_job: AtomicU64::new(1),
             draining: AtomicBool::new(false),
+            wake_addr,
             counters: Counters::default(),
             config,
         });
@@ -675,8 +716,7 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates accept-loop IO failures other than the expected
-    /// `WouldBlock`.
+    /// Propagates accept failures other than `EINTR`.
     pub fn run(self) -> std::io::Result<()> {
         let Server { listener, shared } = self;
         let workers: Vec<_> = (0..shared.config.workers.max(1))
@@ -690,15 +730,14 @@ impl Server {
             .collect();
         let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
         loop {
-            if TERM_REQUESTED.load(Ordering::SeqCst) {
-                shared.drain();
-            }
+            let accepted = listener.accept();
+            // A drain connects to the listener to wake this accept; that
+            // connection (or any racing it) is dropped unserved.
             if shared.draining.load(Ordering::SeqCst) {
                 break;
             }
-            match listener.accept() {
+            match accepted {
                 Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(false);
                     let shared = Arc::clone(&shared);
                     let h = std::thread::Builder::new()
                         .name("phd-conn".into())
@@ -706,9 +745,6 @@ impl Server {
                         .expect("spawn connection handler");
                     handlers.push(h);
                     handlers.retain(|h| !h.is_finished());
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),

@@ -1,6 +1,7 @@
 //! End-to-end daemon tests over real loopback TCP: cache replay through
 //! the service, deterministic single-flight dedup (and its refusal to
-//! merge alpha-variants), queue-full backpressure, and graceful drain.
+//! merge alpha-variants), queue-full backpressure, round trips free of
+//! Nagle stalls, and graceful drain waking the blocked accept.
 
 use ph_core::{CacheHook, OptConfig, SynthCache, SynthOutput, SynthParams};
 use ph_hw::DeviceProfile;
@@ -8,8 +9,8 @@ use ph_ir::ParserSpec;
 use ph_obs::Json;
 use ph_svc::{Client, ClientError, DiskCache, Server, ServerConfig, ShutdownHandle};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::{Duration, Instant};
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
     static N: AtomicU32 = AtomicU32::new(0);
@@ -410,4 +411,98 @@ fn drain_finishes_queued_work_and_refuses_new_submissions() {
     // The listener is gone: new connections fail outright.
     assert!(Client::connect(&addr).is_err());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Sequential round trips on one connection must not stall on Nagle's
+/// algorithm meeting a delayed ACK: with a line split over several
+/// segments, each round trip waits ~40–80 ms, so 50 pings take seconds.
+#[test]
+fn sequential_round_trips_do_not_wait_on_delayed_acks() {
+    let dir = tmp_dir("nagle");
+    let (addr, handle, join) = start(ServerConfig {
+        workers: 1,
+        queue_cap: 8,
+        cache: Some(CacheHook(Arc::new(DiskCache::new(&dir)))),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(&addr).unwrap();
+    let t0 = Instant::now();
+    for _ in 0..50 {
+        client.ping().unwrap();
+    }
+    let pings = t0.elapsed();
+    assert!(pings < Duration::from_secs(1), "50 pings took {pings:?}");
+
+    // Cache-hit replies carry a whole program and its stats: the large-
+    // reply path must go out in one piece too.
+    let spec = tiny_spec(5);
+    let dev = DeviceProfile::tofino();
+    let deadline = Some(Duration::from_secs(30));
+    let cold = client
+        .submit_wait(&spec, &dev, OptConfig::all(), deadline)
+        .unwrap();
+    assert!(!cold.cache_hit);
+    let t0 = Instant::now();
+    for _ in 0..20 {
+        let warm = client
+            .submit_wait(&spec, &dev, OptConfig::all(), deadline)
+            .unwrap();
+        assert!(warm.cache_hit);
+    }
+    let hits = t0.elapsed();
+    assert!(hits < Duration::from_secs(1), "20 cache hits took {hits:?}");
+
+    handle.shutdown();
+    assert!(join.join().unwrap().is_ok());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `server` on its own thread and returns a receiver for its result.
+fn run_in_background(server: Server) -> mpsc::Receiver<std::io::Result<()>> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(server.run());
+    });
+    rx
+}
+
+/// Asserts the daemon's `run()` returns `Ok` within a second.
+fn assert_drains_promptly(done: &mpsc::Receiver<std::io::Result<()>>) {
+    match done.recv_timeout(Duration::from_secs(1)) {
+        Ok(result) => assert!(result.is_ok(), "run() failed: {result:?}"),
+        Err(_) => panic!("run() did not return within 1 s of the drain"),
+    }
+}
+
+fn bind(addr: &str) -> Server {
+    Server::bind(ServerConfig {
+        addr: addr.into(),
+        workers: 1,
+        queue_cap: 4,
+        cache: None,
+    })
+    .unwrap()
+}
+
+/// Covers both a loopback bind and an unspecified one, whose wake-up
+/// connection must go to loopback instead.
+#[test]
+fn shutdown_wakes_an_accept_no_client_ever_reached() {
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = bind(addr);
+        let handle = server.shutdown_handle();
+        let done = run_in_background(server);
+        // Give the accept loop time to block.  A drain that lands first is
+        // the drain-before-run case and must pass as well.
+        std::thread::sleep(Duration::from_millis(50));
+        handle.shutdown();
+        assert_drains_promptly(&done);
+    }
+}
+
+#[test]
+fn shutdown_before_run_returns_at_once() {
+    let server = bind("127.0.0.1:0");
+    server.shutdown_handle().shutdown();
+    assert_drains_promptly(&run_in_background(server));
 }
