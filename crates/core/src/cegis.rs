@@ -5,9 +5,10 @@
 //! accumulated test case.  Budgets (total TCAM entries for single-table
 //! devices, pipeline stages for pipelined ones) are *assumptions*, so the
 //! same instance serves the whole minimization descent: each verified
-//! candidate tightens the budget and the loop re-enters synthesis; an UNSAT
-//! under the tightened assumption proves the previous candidate minimal
-//! over this skeleton.
+//! candidate in the entry phase first loses every entry the verifier alone
+//! shows it can do without, then tightens the budget to one entry below
+//! what is left, and the loop re-enters synthesis; an UNSAT under the
+//! tightened assumption proves the incumbent minimal over this skeleton.
 //!
 //! Verification is incremental too: a second persistent instance
 //! ([`IncrementalVerifier`]) carries the spec-path formula and the symbolic
@@ -208,8 +209,8 @@ fn run_cegis(
 
     // Persistent verification engine: the spec-path formula and the symbolic
     // implementation are encoded exactly once; every candidate (and every
-    // shrink_masks trial) is checked under assumptions against this one
-    // instance.
+    // entry-deletion and mask-shrink trial) is checked under assumptions
+    // against this one instance.
     let tv = Instant::now();
     let mut verifier = IncrementalVerifier::new(shape, red_spec, l, k_impl, k_spec, &interrupt)?;
     stats.verify_solver_builds += 1;
@@ -217,36 +218,7 @@ fn run_cegis(
 
     // Initial test cases: all-zeros plus two random inputs.
     let add_test = |smt: &mut Smt, input: &BitString, stats: &mut SynthStats| {
-        let expect = ph_ir::simulate(red_spec, input, k_spec + 2);
-        debug_assert!(expect.status != ParseStatus::IterationBudget);
-        let it = smt.const_bits(input.clone());
-        let out = encode_impl(smt, shape, &vars.terms, it, k_impl);
-        let sbits = shape.state_bits();
-        let want = smt.const_u64(
-            match expect.status {
-                ParseStatus::Accept => shape.accept_code() as u64,
-                ParseStatus::Reject => shape.reject_code() as u64,
-                _ => shape.ooi_code() as u64,
-            },
-            sbits,
-        );
-        let c = smt.eq(out.status, want);
-        smt.assert(c);
-        for (f, w) in shape.field_widths.iter().enumerate() {
-            match expect.dict.get(ph_ir::FieldId(f)) {
-                Some(v) => {
-                    smt.assert(out.defined[f]);
-                    debug_assert_eq!(v.len(), (*w).max(1));
-                    let vc = smt.const_bits(v.clone());
-                    let c = smt.eq(out.values[f], vc);
-                    smt.assert(c);
-                }
-                None => {
-                    let nd = smt.not(out.defined[f]);
-                    smt.assert(nd);
-                }
-            }
-        }
+        add_test_case(smt, shape, &vars.terms, red_spec, input, k_impl, k_spec);
         stats.test_cases += 1;
     };
 
@@ -338,21 +310,24 @@ fn run_cegis(
             stats.hists.synth_query_ns.record(dt.as_nanos() as u64);
             let candidate = match synth_result {
                 SmtResult::Unsat => {
-                    let Some(b) = &best else {
+                    let Some(b) = best.take() else {
                         return Err(SynthError::Infeasible(
                             "no implementation within the device's resources for this skeleton"
                                 .into(),
                         ));
                     };
-                    if phase == MinPhase::Stages {
-                        // Stage count is minimal; pin it and minimize
-                        // entries next.
-                        phase = MinPhase::Entries;
-                        stage_cap = Some(skeleton::stages_used(b) as u64 - 1);
-                        entry_cap = Some(skeleton::entry_count(b) as u64 - 1);
-                        continue 'outer;
+                    if phase == MinPhase::Entries {
+                        best = Some(b);
+                        break 'outer; // entry descent complete
                     }
-                    break 'outer; // entry descent complete
+                    // Stage count is minimal; pin it and minimize entries
+                    // next, starting below the shrunk incumbent.
+                    let b = delete_entries(&mut verifier, b, &interrupt, &mut stats);
+                    phase = MinPhase::Entries;
+                    stage_cap = Some(skeleton::stages_used(&b) as u64 - 1);
+                    entry_cap = Some((skeleton::entry_count(&b) as u64).saturating_sub(1));
+                    best = Some(b);
+                    continue 'outer;
                 }
                 SmtResult::Unknown => {
                     break 'outer; // interrupted / budget exhausted
@@ -393,28 +368,27 @@ fn run_cegis(
                 Verdict::Unknown => break 'outer,
                 Verdict::Counterexample(_) => continue,
             }
-            match phase {
-                MinPhase::Stages => {
-                    let used = skeleton::stages_used(&candidate) as u64;
-                    let entries = skeleton::entry_count(&candidate) as u64;
-                    best = Some(candidate);
-                    if used <= 1 {
-                        phase = MinPhase::Entries;
-                        stage_cap = Some(0);
-                        entry_cap = Some(entries.saturating_sub(1));
-                    } else {
-                        stage_cap = Some(used - 2);
-                    }
-                }
-                MinPhase::Entries => {
-                    let used = skeleton::entry_count(&candidate) as u64;
-                    best = Some(candidate);
-                    if used == 0 {
-                        break 'outer;
-                    }
-                    entry_cap = Some(used - 1);
-                }
+            let stages = skeleton::stages_used(&candidate) as u64;
+            if phase == MinPhase::Stages && stages > 1 {
+                best = Some(candidate);
+                stage_cap = Some(stages - 2);
+                continue 'outer;
             }
+            if phase == MinPhase::Stages {
+                // One stage is minimal: go straight to the entry phase.
+                phase = MinPhase::Entries;
+                stage_cap = Some(0);
+            }
+            // The entry descent restarts below the candidate's shrunk size:
+            // entries the verifier alone can delete never cost a synthesis
+            // query to descend past.
+            let b = delete_entries(&mut verifier, candidate, &interrupt, &mut stats);
+            let used = skeleton::entry_count(&b) as u64;
+            best = Some(b);
+            if used == 0 {
+                break 'outer;
+            }
+            entry_cap = Some(used - 1);
             continue 'outer;
         }
         // CEGIS iteration cap hit at this budget: settle for what we have.
@@ -450,6 +424,48 @@ fn run_cegis(
     finish_or_timeout(best, shape, orig_spec, device, params, stats)
 }
 
+/// Asserts that the implementation over `terms` parses `input` exactly as
+/// the spec does: same acceptance class, same extracted fields.
+fn add_test_case(
+    smt: &mut Smt,
+    shape: &Shape,
+    terms: &skeleton::SkelTerms,
+    red_spec: &ParserSpec,
+    input: &BitString,
+    k_impl: usize,
+    k_spec: usize,
+) {
+    let expect = ph_ir::simulate(red_spec, input, k_spec + 2);
+    debug_assert!(expect.status != ParseStatus::IterationBudget);
+    let it = smt.const_bits(input.clone());
+    let out = encode_impl(smt, shape, terms, it, k_impl);
+    let want = smt.const_u64(
+        match expect.status {
+            ParseStatus::Accept => shape.accept_code() as u64,
+            ParseStatus::Reject => shape.reject_code() as u64,
+            _ => shape.ooi_code() as u64,
+        },
+        shape.state_bits(),
+    );
+    let c = smt.eq(out.status, want);
+    smt.assert(c);
+    for (f, w) in shape.field_widths.iter().enumerate() {
+        match expect.dict.get(ph_ir::FieldId(f)) {
+            Some(v) => {
+                smt.assert(out.defined[f]);
+                debug_assert_eq!(v.len(), (*w).max(1));
+                let vc = smt.const_bits(v.clone());
+                let c = smt.eq(out.values[f], vc);
+                smt.assert(c);
+            }
+            None => {
+                let nd = smt.not(out.defined[f]);
+                smt.assert(nd);
+            }
+        }
+    }
+}
+
 /// Outcome of one symbolic verification.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Verdict {
@@ -469,7 +485,7 @@ pub enum Verdict {
 /// ([`Smt::check_assuming`]).  The CDCL solver keeps its clause database,
 /// variable activities and learned lemmas across queries, and the
 /// bit-blaster's term cache means repeated pins (identical entries across
-/// candidates, `shrink_masks` trials) cost nothing to re-encode.  This
+/// candidates and shrink trials) cost nothing to re-encode.  This
 /// drops verification solver constructions from O(candidates + entries) to
 /// exactly one per synthesis run.
 pub struct IncrementalVerifier<'a> {
@@ -590,6 +606,40 @@ pub fn verify_candidate_fresh(
     })
 }
 
+/// Deletes every entry the program can do without, keeping each deletion
+/// only when the program still verifies.  Every trial is one incremental
+/// assumption check against the persistent verifier, accounted (span,
+/// stats, `shrink.*` deltas) like a [`shrink_masks`] trial.
+///
+/// A deletion can never break a structural constraint of
+/// [`build_vars`], so the verdict is the only check needed: every entry
+/// constraint is guarded by the entry's `active` bit, the entries left in
+/// a state still form an active prefix, and the total and per-stage entry
+/// limits only loosen.  Minimality is still proved by the descent's final
+/// UNSAT one entry below the incumbent.
+fn delete_entries(
+    verifier: &mut IncrementalVerifier<'_>,
+    mut conc: ConcreteSkel,
+    interrupt: &Interrupt,
+    stats: &mut SynthStats,
+) -> ConcreteSkel {
+    let _span = ph_obs::current().span("cegis.shrink");
+    for s in 0..conc.entries.len() {
+        // Last entry first, so a kept deletion never shifts an untried one.
+        for j in (0..conc.entries[s].len()).rev() {
+            if interrupt.is_set() {
+                return conc;
+            }
+            let mut trial = conc.clone();
+            trial.entries[s].remove(j);
+            if shrink_trial(verifier, &trial, stats) {
+                conc = trial;
+            }
+        }
+    }
+    conc
+}
+
 /// Tries to clear each entry's mask (making it a catch-all), keeping each
 /// change only when the program still verifies.  Every trial is one
 /// incremental assumption check against the persistent verifier.
@@ -600,8 +650,7 @@ fn shrink_masks(
     interrupt: &Interrupt,
     stats: &mut SynthStats,
 ) -> ConcreteSkel {
-    let tracer = ph_obs::current();
-    let _span = tracer.span("cegis.shrink");
+    let _span = ph_obs::current().span("cegis.shrink");
     for s in 0..conc.entries.len() {
         for j in 0..conc.entries[s].len() {
             if conc.entries[s][j].mask.count_ones() == 0 {
@@ -613,25 +662,39 @@ fn shrink_masks(
             let mut trial = conc.clone();
             trial.entries[s][j].mask = BitString::zeros(shape.canon_width);
             trial.entries[s][j].value = BitString::zeros(shape.canon_width);
-            let tv = Instant::now();
-            let sat_before = verifier.solver_stats();
-            let verdict = verifier.verify(&trial);
-            stats.verify_checks += 1;
-            stats.shrink_trials += 1;
-            let dt = tv.elapsed();
-            stats.shrink_time += dt;
-            stats.hists.shrink_query_ns.record(dt.as_nanos() as u64);
-            tracer.count("shrink.trials", 1);
-            let delta = verifier.solver_stats().delta_since(&sat_before);
-            delta.emit(&tracer, "shrink");
-            if verdict == Verdict::Verified {
-                stats.shrink_accepted += 1;
-                tracer.count("shrink.accepted", 1);
+            if shrink_trial(verifier, &trial, stats) {
                 conc = trial;
             }
         }
     }
     conc
+}
+
+/// One shrink trial: verifies `trial` and records the query under the
+/// shrink statistics.  True when it verified.
+fn shrink_trial(
+    verifier: &mut IncrementalVerifier<'_>,
+    trial: &ConcreteSkel,
+    stats: &mut SynthStats,
+) -> bool {
+    let tracer = ph_obs::current();
+    let tv = Instant::now();
+    let sat_before = verifier.solver_stats();
+    let verdict = verifier.verify(trial);
+    stats.verify_checks += 1;
+    stats.shrink_trials += 1;
+    let dt = tv.elapsed();
+    stats.shrink_time += dt;
+    stats.hists.shrink_query_ns.record(dt.as_nanos() as u64);
+    tracer.count("shrink.trials", 1);
+    let delta = verifier.solver_stats().delta_since(&sat_before);
+    delta.emit(&tracer, "shrink");
+    let kept = verdict == Verdict::Verified;
+    if kept {
+        stats.shrink_accepted += 1;
+        tracer.count("shrink.accepted", 1);
+    }
+    kept
 }
 
 /// Unrolling depth for the implementation machine.
@@ -677,4 +740,227 @@ fn finish_or_timeout(
         ));
     }
     Ok(SynthOutput { program, stats })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A spec's skeleton on one device plus the first candidate the CEGIS
+    /// loop verifies with no budget — typically one with entries to spare.
+    struct Fixture {
+        red_spec: ParserSpec,
+        fields: Vec<ph_ir::Field>,
+        shape: Shape,
+        l: usize,
+        k_impl: usize,
+        k_spec: usize,
+        candidate: ConcreteSkel,
+    }
+
+    impl Fixture {
+        fn new(spec: &ParserSpec, device: &DeviceProfile) -> Fixture {
+            let (opts, params) = (OptConfig::all(), SynthParams::default());
+            let spec_loopy = !analysis::is_loop_free(spec);
+            let loopy = spec_loopy && device.allows_loops();
+            let working = if spec_loopy && !loopy {
+                unroll_spec(spec, params.max_loop_iters)
+            } else {
+                spec.clone()
+            };
+            let red = reduce_spec(&working, opts).unwrap();
+            let bounds = compute_bounds(&red.spec, params.max_loop_iters).unwrap();
+            let shape = build_shape(&red, device, opts, loopy, params.spare_states).unwrap();
+            let l = bounds.input_bits.max(1);
+            let (k_impl, k_spec) = (shape_k(&shape, &bounds), bounds.spec_iters + 1);
+            let mut smt = Smt::new();
+            let vars = build_vars(&mut smt, &shape, device);
+            let interrupt = Interrupt::default();
+            let mut verifier =
+                IncrementalVerifier::new(&shape, &red.spec, l, k_impl, k_spec, &interrupt).unwrap();
+            let zeros = BitString::zeros(l);
+            add_test_case(
+                &mut smt,
+                &shape,
+                &vars.terms,
+                &red.spec,
+                &zeros,
+                k_impl,
+                k_spec,
+            );
+            let candidate = loop {
+                assert_eq!(smt.check(), SmtResult::Sat, "the skeleton is feasible");
+                let candidate = skeleton::extract_model(&mut smt, &shape, &vars);
+                match verifier.verify(&candidate) {
+                    Verdict::Verified => break candidate,
+                    Verdict::Counterexample(cex) => add_test_case(
+                        &mut smt,
+                        &shape,
+                        &vars.terms,
+                        &red.spec,
+                        &cex,
+                        k_impl,
+                        k_spec,
+                    ),
+                    Verdict::Unknown => panic!("uninterrupted verification is decided"),
+                }
+            };
+            Fixture {
+                red_spec: red.spec,
+                fields: working.fields,
+                shape,
+                l,
+                k_impl,
+                k_spec,
+                candidate,
+            }
+        }
+
+        fn verifier(&self) -> IncrementalVerifier<'_> {
+            IncrementalVerifier::new(
+                &self.shape,
+                &self.red_spec,
+                self.l,
+                self.k_impl,
+                self.k_spec,
+                &Interrupt::default(),
+            )
+            .unwrap()
+        }
+
+        fn verify_fresh(&self, conc: &ConcreteSkel) -> Verdict {
+            verify_candidate_fresh(
+                &self.shape,
+                &self.red_spec,
+                conc,
+                self.l,
+                self.k_impl,
+                self.k_spec,
+                &Interrupt::default(),
+            )
+            .unwrap()
+        }
+    }
+
+    fn registry_spec(name: &str) -> ParserSpec {
+        ph_benchmarks::registry()
+            .into_iter()
+            .find(|c| c.name == name)
+            .unwrap_or_else(|| panic!("no registry case {name:?}"))
+            .spec
+    }
+
+    /// Every single-entry deletion the incremental verifier accepts is
+    /// confirmed by the fresh-solver oracle, and the pass's result verifies
+    /// and breaks no device rule.
+    #[test]
+    fn accepted_deletions_agree_with_the_fresh_oracle() {
+        let mut accepted = 0;
+        for name in [
+            "Parse Ethernet",
+            "Parse icmp",
+            "Multi-key (same pkt field)",
+            "Dash V2",
+            "Large tran key",
+        ] {
+            for device in [DeviceProfile::tofino(), DeviceProfile::ipu()] {
+                let fx = Fixture::new(&registry_spec(name), &device);
+                let mut verifier = fx.verifier();
+                let conc = &fx.candidate;
+                for s in 0..conc.entries.len() {
+                    for j in 0..conc.entries[s].len() {
+                        let mut trial = conc.clone();
+                        trial.entries[s].remove(j);
+                        let verdict = verifier.verify(&trial);
+                        if verdict == Verdict::Verified {
+                            accepted += 1;
+                            assert_eq!(
+                                fx.verify_fresh(&trial),
+                                Verdict::Verified,
+                                "{name} on {}: deleting entry {j} of state {s}",
+                                device.name
+                            );
+                        }
+                    }
+                }
+                let mut stats = SynthStats::default();
+                let pruned = delete_entries(
+                    &mut verifier,
+                    conc.clone(),
+                    &Interrupt::default(),
+                    &mut stats,
+                );
+                assert!(skeleton::entry_count(&pruned) <= skeleton::entry_count(conc));
+                assert_eq!(
+                    fx.verify_fresh(&pruned),
+                    Verdict::Verified,
+                    "{name} on {}",
+                    device.name
+                );
+                let program = skeleton::to_program(&fx.shape, &pruned, &device);
+                let violations = ph_hw::check_program(&program, &fx.fields);
+                assert!(
+                    violations.is_empty(),
+                    "{name} on {}: {violations:?}",
+                    device.name
+                );
+            }
+        }
+        assert!(accepted > 0, "no case exercised an accepted deletion");
+    }
+
+    /// Parse icmp accepts entry deletions on both devices (the descent
+    /// skips levels), yet ends at the committed Table 3 counts.
+    #[test]
+    fn pruned_descent_keeps_the_table3_counts() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/table3.json");
+        let table = ph_obs::Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        let rows = table.get("rows").and_then(ph_obs::Json::as_arr).unwrap();
+        let row = rows
+            .iter()
+            .find(|r| r.get("name").and_then(ph_obs::Json::as_str) == Some("Parse icmp"))
+            .expect("Parse icmp row");
+        let spec = registry_spec("Parse icmp");
+        for device in [DeviceProfile::tofino(), DeviceProfile::ipu()] {
+            let want = row.get(&device.name).and_then(|d| d.get("opt")).unwrap();
+            let count = |key: &str| want.get(key).and_then(ph_obs::Json::as_i64).unwrap() as usize;
+            let out = crate::Synthesizer::new(device.clone(), OptConfig::all())
+                .synthesize(&spec)
+                .unwrap();
+            assert_eq!(
+                out.program.entry_count(),
+                count("entries"),
+                "{}",
+                device.name
+            );
+            assert_eq!(
+                out.program.stages_used(),
+                count("stages"),
+                "{}",
+                device.name
+            );
+        }
+    }
+
+    /// A copy of an entry placed right after it is shadowed, so it never
+    /// matches: the entry pass must delete it.
+    #[test]
+    fn a_shadowed_copy_is_deleted() {
+        let device = DeviceProfile::tofino();
+        let fx = Fixture::new(&registry_spec("Parse Ethernet"), &device);
+        let e_per = fx.shape.entries_per_state;
+        let s = (0..fx.candidate.entries.len())
+            .find(|&s| (1..e_per).contains(&fx.candidate.entries[s].len()))
+            .expect("a state with an entry and room for one more");
+        let mut padded = fx.candidate.clone();
+        let copy = padded.entries[s][0].clone();
+        padded.entries[s].insert(1, copy);
+        let mut verifier = fx.verifier();
+        assert_eq!(verifier.verify(&padded), Verdict::Verified);
+        let mut stats = SynthStats::default();
+        let pruned = delete_entries(&mut verifier, padded, &Interrupt::default(), &mut stats);
+        assert!(skeleton::entry_count(&pruned) <= skeleton::entry_count(&fx.candidate));
+        assert!(stats.shrink_accepted >= 1);
+        assert_eq!(stats.shrink_trials, stats.verify_checks);
+    }
 }

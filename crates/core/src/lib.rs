@@ -217,7 +217,8 @@ ph_obs::stats! {
         synth_query_ns: ph_obs::Histogram = "synth_query_ns",
         /// Verification query durations (candidate checks), in nanoseconds.
         verify_query_ns: ph_obs::Histogram = "verify_query_ns",
-        /// Mask-shrinking trial durations, in nanoseconds.
+        /// Shrink trial (entry-deletion and mask-clearing) durations, in
+        /// nanoseconds.
         shrink_query_ns: ph_obs::Histogram = "shrink_query_ns",
         /// CDCL conflicts per verification query — the distribution behind
         /// [`SynthStats::max_verify_conflicts`].
@@ -256,19 +257,21 @@ ph_obs::stats! {
         /// engine this is exactly 1 per synthesis run (it was one per candidate
         /// plus one per `shrink_masks` trial before).
         verify_solver_builds: usize = "verify_solver_builds",
-        /// Verification queries issued (candidate checks + mask-shrink trials).
+        /// Verification queries issued (candidate checks + shrink trials).
         verify_checks: usize = "verify_checks",
-        /// Mask-shrinking trials attempted after the descent.
+        /// Shrink trials attempted: entry deletions from each verified
+        /// entry-phase candidate, and mask clearing after the descent.
         shrink_trials: usize = "shrink_trials",
-        /// Mask-shrinking trials that verified and were kept.
+        /// Shrink trials (entry deletions and mask clearings) that verified
+        /// and were kept.
         shrink_accepted: usize = "shrink_accepted",
         /// Wall-clock time inside synthesis-phase solver checks.
         synth_time: Duration = "synth_time_s",
         /// Wall-clock time inside verification (encoding + candidate queries;
-        /// mask-shrinking queries are accounted under
-        /// [`SynthStats::shrink_time`]).
+        /// shrink trials are accounted under [`SynthStats::shrink_time`]).
         verify_time: Duration = "verify_time_s",
-        /// Wall-clock time inside the mask-shrinking pass.
+        /// Wall-clock time inside shrink trials: the entry-deletion passes
+        /// between budget levels and the mask-shrinking pass.
         shrink_time: Duration = "shrink_time_s",
         /// Wall-clock time spent.
         wall: Duration = "wall_s",

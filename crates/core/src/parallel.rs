@@ -9,7 +9,9 @@
 //! as one yields a valid outcome" strategy scaled to one machine with
 //! `std::thread::scope`.  When both branches end up with results (the loser
 //! may already have had one when interrupted), the better one (fewer
-//! entries, then fewer states) is kept.
+//! entries, then fewer states) is kept; on a tie, the first finisher's,
+//! because the loser's result is only a best-so-far taken before mask
+//! shrinking.
 //!
 //! Each branch's flag and its wall-clock deadline travel together in one
 //! [`ph_sat::Interrupt`] and are polled at the same points (every solver
@@ -21,7 +23,7 @@ use crate::{OptConfig, SynthError, SynthOutput, SynthParams};
 use ph_hw::DeviceProfile;
 use ph_ir::{analysis, ParserSpec};
 use ph_obs::Level;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// Synthesizes with Opt7 racing enabled.
@@ -54,8 +56,12 @@ pub fn synthesize_racing(
         return synthesize_one(spec, device, opts, params, LoopMode::LoopFree, None);
     }
 
+    const FREE: u8 = 1;
+    const LOOPY: u8 = 2;
     let flag_free = Arc::new(AtomicBool::new(false));
     let flag_loopy = Arc::new(AtomicBool::new(false));
+    // The branch that verified a result first (0 while neither has).
+    let first = AtomicU8::new(0);
 
     // The race tracer: the run-scoped one when set, else the ambient one.
     // Each branch derives a tagged stream from it, so one shared sink keeps
@@ -67,34 +73,45 @@ pub fn synthesize_racing(
     // trips the other branch's interrupt flag.  The interrupted branch
     // notices at its next solver conflict / loop check and returns its own
     // best-so-far (possibly a timeout), so both joins stay cheap.
-    let race =
-        |mode: LoopMode, mine: Arc<AtomicBool>, other: Arc<AtomicBool>, branch: &'static str| {
-            let branch_tracer = base_tracer.with_branch(branch);
-            move || {
-                // Install the branch stream for this worker thread; everything
-                // under synthesize_one (cegis, smt) inherits it.
-                let mut branch_params = params.clone();
-                branch_params.tracer = Some(branch_tracer.clone());
-                let _g = ph_obs::set_thread_tracer(branch_tracer.clone());
-                let r = synthesize_one(spec, device, opts, &branch_params, mode, Some(mine));
-                if r.is_ok() {
-                    other.store(true, Ordering::Relaxed);
-                    branch_tracer.count("race.first_win", 1);
-                    branch_tracer
-                        .msg_with(Level::Info, || format!("race: {branch} finished first"));
-                }
-                r
+    let race = |mode: LoopMode,
+                id: u8,
+                mine: Arc<AtomicBool>,
+                other: Arc<AtomicBool>,
+                branch: &'static str| {
+        let branch_tracer = base_tracer.with_branch(branch);
+        let first = &first;
+        move || {
+            // Install the branch stream for this worker thread; everything
+            // under synthesize_one (cegis, smt) inherits it.
+            let mut branch_params = params.clone();
+            branch_params.tracer = Some(branch_tracer.clone());
+            let _g = ph_obs::set_thread_tracer(branch_tracer.clone());
+            let r = synthesize_one(spec, device, opts, &branch_params, mode, Some(mine));
+            // Claim the win before stopping the other branch, so the loser
+            // can never claim it too.
+            if r.is_ok()
+                && first
+                    .compare_exchange(0, id, Ordering::AcqRel, Ordering::Acquire)
+                    .is_ok()
+            {
+                other.store(true, Ordering::Relaxed);
+                branch_tracer.count("race.first_win", 1);
+                branch_tracer.msg_with(Level::Info, || format!("race: {branch} finished first"));
             }
-        };
+            r
+        }
+    };
     let (free, loopy) = std::thread::scope(|scope| {
         let h_free = scope.spawn(race(
             LoopMode::LoopFree,
+            FREE,
             flag_free.clone(),
             flag_loopy.clone(),
             "loop-free",
         ));
         let h_loopy = scope.spawn(race(
             LoopMode::Loopy,
+            LOOPY,
             flag_loopy.clone(),
             flag_free.clone(),
             "loopy",
@@ -124,9 +141,11 @@ pub fn synthesize_racing(
     };
     match (free, loopy) {
         (Ok(a), Ok(b)) => {
-            // Prefer fewer entries; tie-break on fewer states.
+            // Prefer fewer entries, then fewer states, then the first
+            // finisher: the other branch was interrupted mid-descent.
             let (ua, ub) = (a.program.usage(), b.program.usage());
-            if (ub.tcam_entries, ub.states) < (ua.tcam_entries, ua.states) {
+            let (ka, kb) = ((ua.tcam_entries, ua.states), (ub.tcam_entries, ub.states));
+            if kb < ka || (kb == ka && first.load(Ordering::Acquire) == LOOPY) {
                 report("loopy", &b);
                 Ok(b)
             } else {

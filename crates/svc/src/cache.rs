@@ -50,12 +50,15 @@ pub const CACHE_FORMAT_VERSION: u32 = 4;
 /// Default size budget: 256 MiB.
 pub const DEFAULT_BUDGET_BYTES: u64 = 256 * 1024 * 1024;
 
+/// Temp-file sequence number, shared by every [`DiskCache`] in the process
+/// so two caches on one directory never write the same temp path.
+static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
+
 /// The content-addressed disk cache (see the [module docs](self)).
 #[derive(Debug)]
 pub struct DiskCache {
     dir: PathBuf,
     budget_bytes: u64,
-    tmp_counter: AtomicU64,
 }
 
 impl DiskCache {
@@ -65,7 +68,6 @@ impl DiskCache {
         DiskCache {
             dir: dir.into(),
             budget_bytes: DEFAULT_BUDGET_BYTES,
-            tmp_counter: AtomicU64::new(0),
         }
     }
 
@@ -284,7 +286,7 @@ impl DiskCache {
         let tmp = self.dir.join(format!(
             ".tmp-{}-{}",
             std::process::id(),
-            self.tmp_counter.fetch_add(1, Ordering::Relaxed)
+            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::write(&tmp, doc.to_pretty())?;
         let dst = self.entry_path(key);
@@ -450,6 +452,62 @@ mod tests {
             DiskCache::key(&spec, &tofino, opts, &params),
             DiskCache::key(&spec, &tofino, fewer_opts, &params)
         );
+    }
+
+    #[test]
+    fn caches_sharing_a_directory_never_share_a_temp_file() {
+        let dir = tmp_dir("shared");
+        // Two caches on one directory in one process.  Each round both
+        // store at once (the barrier lines up the writes) under distinct
+        // keys; every store must succeed and publish its own document,
+        // whole.
+        let caches = [DiskCache::new(&dir), DiskCache::new(&dir)];
+        let barrier = std::sync::Barrier::new(caches.len());
+        let payload = "x".repeat(64 * 1024);
+        let failures: Vec<String> = std::thread::scope(|scope| {
+            let workers: Vec<_> = caches
+                .iter()
+                .enumerate()
+                .map(|(w, cache)| {
+                    let (barrier, payload) = (&barrier, &payload);
+                    scope.spawn(move || {
+                        let mut failures = Vec::new();
+                        for round in 0..100 {
+                            let key = format!("{w}-{round}");
+                            let doc = Json::obj()
+                                .with("key", key.as_str())
+                                .with("payload", payload.as_str());
+                            barrier.wait();
+                            if let Err(e) = cache.store_entry(&key, &doc) {
+                                failures.push(format!("store of {key} failed: {e}"));
+                            }
+                        }
+                        failures
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        assert!(failures.is_empty(), "{failures:?}");
+        let mut entries = 0;
+        for e in std::fs::read_dir(&dir).unwrap().flatten() {
+            let name = e.file_name().to_string_lossy().into_owned();
+            assert!(!name.starts_with(".tmp-"), "temp file {name} left behind");
+            let text = std::fs::read_to_string(e.path()).unwrap();
+            let doc = Json::parse(&text).expect("entry parses as complete JSON");
+            let key = doc.get("key").and_then(Json::as_str).expect("key field");
+            assert_eq!(
+                format!("{key}.json"),
+                name,
+                "entry holds another store's document"
+            );
+            entries += 1;
+        }
+        assert_eq!(entries, 200);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -143,8 +143,8 @@ fn concurrent_writers_never_tear_an_entry() {
     let dir = tmp_dir("race");
     let spec = tiny_spec();
     // Many threads race the same cold synthesis into one directory; each
-    // gets its own DiskCache value (distinct tmp counters, like separate
-    // processes sharing PH_CACHE_DIR).
+    // gets its own DiskCache value, like separate daemons sharing one
+    // cache directory.
     let outputs: Vec<SynthOutput> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
             .map(|_| {
