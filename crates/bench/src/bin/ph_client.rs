@@ -137,7 +137,6 @@ fn main() {
     match client.submit_wait(&spec, &device, ph_core::OptConfig::all(), deadline) {
         Ok(outcome) => {
             let elapsed = t0.elapsed();
-            println!("job {}", outcome.job);
             println!("key {}", outcome.key);
             println!("cache_hit {}", outcome.cache_hit);
             println!("deduped {}", outcome.deduped);

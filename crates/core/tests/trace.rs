@@ -173,8 +173,9 @@ fn synthesis_trace_is_wellformed_jsonl() {
         "shrink-trial counter disagrees with stats"
     );
     // The per-call search deltas partition the verifier's lifetime totals:
-    // candidate checks stream as `verify.*`, mask-shrink trials as
-    // `shrink.*`, and nothing else searches with the verification solver.
+    // candidate checks stream as `verify.*`, shrink trials (entry
+    // deletions between budget levels and mask shrinking) as `shrink.*`,
+    // and nothing else searches with the verification solver.
     // (Propagations are left out: top-level propagation also happens
     // outside the checks.)
     for (row, total) in [

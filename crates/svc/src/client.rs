@@ -60,8 +60,6 @@ impl From<CodecError> for ClientError {
 /// A successful synthesis response.
 #[derive(Clone, Debug)]
 pub struct SubmitOutcome {
-    /// The daemon-side job id.
-    pub job: u64,
     /// The content key the job was filed under.
     pub key: String,
     /// Whether this submission deduplicated onto an in-flight job.
@@ -164,18 +162,10 @@ impl Client {
             req.set("deadline_ms", d.as_millis().max(1) as i64);
         }
         let resp = self.request(&req)?;
-        let field_u64 = |k: &str| -> Result<u64, ClientError> {
-            resp.get(k)
-                .and_then(Json::as_i64)
-                .filter(|v| *v >= 0)
-                .map(|v| v as u64)
-                .ok_or_else(|| ClientError::Protocol(format!("response missing {k:?}")))
-        };
         let program_json = resp
             .get("program")
             .ok_or_else(|| ClientError::Protocol("response missing \"program\"".into()))?;
         Ok(SubmitOutcome {
-            job: field_u64("job")?,
             key: resp
                 .get("key")
                 .and_then(Json::as_str)

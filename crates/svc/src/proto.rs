@@ -1,24 +1,29 @@
 //! The daemon's wire protocol: line-delimited JSON over TCP.
 //!
-//! Each request is one JSON object on one line; each response is one JSON
-//! object on one line.  A connection may issue any number of requests.
-//! Responses always carry `"ok": true|false`; failures add `"error"`, and
-//! queue-full rejections additionally set `"rejected": true` so clients
-//! can distinguish backpressure from malformed input.
+//! Each request is one JSON object on one line of at most
+//! [`crate::server::MAX_REQUEST_BYTES`]; each response is one JSON object
+//! on one line.  A connection may issue any number of requests, one at a
+//! time: every request gets exactly one reply, and the daemon keeps
+//! nothing of it afterwards.  Responses always carry `"ok": true|false`;
+//! failures add `"error"`, and queue-full rejections additionally set
+//! `"rejected": true` so clients can distinguish backpressure from
+//! malformed input.
 //!
 //! Operations (`"op"`):
 //!
-//! | op         | request fields                                            |
-//! |------------|-----------------------------------------------------------|
-//! | `ping`     | —                                                         |
-//! | `submit`   | `spec` (JSON spec) *or* `p4f` (source text); `device`     |
-//! |            | (canned name or profile object); optional `opts`,         |
-//! |            | `deadline_ms`, `wait` (default `true`)                    |
-//! | `status`   | `job`                                                     |
-//! | `result`   | `job`                                                     |
-//! | `cancel`   | `job`                                                     |
-//! | `stats`    | —                                                         |
-//! | `shutdown` | — (drain: stop accepting, finish queued work, exit)       |
+//! | op         | request fields                                        | reply                      |
+//! |------------|-------------------------------------------------------|----------------------------|
+//! | `ping`     | —                                                     | `pong`                     |
+//! | `submit`   | `spec` (JSON spec) *or* `p4f` (source text); `device` | `key`, `deduped`,          |
+//! |            | (canned name or profile object); optional `opts`,     | `status`, `cache_hit`,     |
+//! |            | `deadline_ms`, `wait` (only `true` is accepted)       | `program`, `program_text`, |
+//! |            |                                                       | `stats`                    |
+//! | `stats`    | —                                                     | the daemon's counters      |
+//! | `shutdown` | — (drain: stop accepting, finish queued work, exit)   | `draining`                 |
+//!
+//! Any other op is an `unknown op` error.  A submit's `stats` carry the
+//! run's scalar statistics; histograms travel as bucket-less summaries
+//! and decode as empty.
 
 use crate::codec::{self, CodecError};
 use ph_core::OptConfig;
@@ -26,7 +31,8 @@ use ph_hw::DeviceProfile;
 use ph_ir::ParserSpec;
 use ph_obs::Json;
 
-/// A parsed submit request.
+/// A parsed submit request.  The daemon answers it with one reply that
+/// carries the synthesized program; there is no job id to poll.
 #[derive(Clone, Debug)]
 pub struct SubmitReq {
     /// The specification to synthesize (already parsed and validated).
@@ -38,9 +44,6 @@ pub struct SubmitReq {
     /// Per-request wall-clock budget, mapped to
     /// [`ph_core::SynthParams::timeout`].
     pub deadline_ms: Option<u64>,
-    /// Block until the job finishes and return the result inline
-    /// (default); `false` returns the job id immediately.
-    pub wait: bool,
 }
 
 /// A parsed request.
@@ -48,23 +51,8 @@ pub struct SubmitReq {
 pub enum Request {
     /// Liveness check.
     Ping,
-    /// Enqueue a synthesis job.
+    /// Synthesize a spec; the reply carries the result.
     Submit(Box<SubmitReq>),
-    /// Query a job's status.
-    Status {
-        /// The job id.
-        job: u64,
-    },
-    /// Fetch a finished job's result.
-    Result {
-        /// The job id.
-        job: u64,
-    },
-    /// Cancel a queued job.
-    Cancel {
-        /// The job id.
-        job: u64,
-    },
     /// Service counters.
     Stats,
     /// Graceful drain.
@@ -109,13 +97,6 @@ pub fn opts_from_json(j: &Json) -> Result<OptConfig, CodecError> {
     Ok(o)
 }
 
-fn job_id(j: &Json) -> Result<u64, CodecError> {
-    match j.get("job").and_then(Json::as_i64) {
-        Some(v) if v >= 0 => Ok(v as u64),
-        _ => Err(CodecError("missing or invalid \"job\" id".into())),
-    }
-}
-
 /// Parses one request line.
 ///
 /// # Errors
@@ -134,10 +115,12 @@ pub fn parse_request(line: &str) -> Result<Request, CodecError> {
         "ping" => Ok(Request::Ping),
         "stats" => Ok(Request::Stats),
         "shutdown" => Ok(Request::Shutdown),
-        "status" => Ok(Request::Status { job: job_id(&doc)? }),
-        "result" => Ok(Request::Result { job: job_id(&doc)? }),
-        "cancel" => Ok(Request::Cancel { job: job_id(&doc)? }),
         "submit" => {
+            // A submit is always answered inline; `wait` survives only as
+            // an explicit `true`.
+            if doc.get("wait").is_some_and(|w| w.as_bool() != Some(true)) {
+                return Err(CodecError("\"wait\" must be true".into()));
+            }
             let spec = match (doc.get("spec"), doc.get("p4f").and_then(Json::as_str)) {
                 (Some(spec_json), None) => codec::spec_from_json(spec_json)?,
                 (None, Some(src)) => {
@@ -171,18 +154,11 @@ pub fn parse_request(line: &str) -> Result<Request, CodecError> {
                     }
                 },
             };
-            let wait = match doc.get("wait") {
-                None => true,
-                Some(v) => v
-                    .as_bool()
-                    .ok_or_else(|| CodecError("\"wait\" must be a bool".into()))?,
-            };
             Ok(Request::Submit(Box::new(SubmitReq {
                 spec,
                 device,
                 opts,
                 deadline_ms,
-                wait,
             })))
         }
         other => Err(CodecError(format!("unknown op {other:?}"))),
@@ -229,12 +205,8 @@ mod tests {
             Ok(Request::Stats)
         ));
         assert!(matches!(
-            parse_request(r#"{"op":"status","job":12}"#),
-            Ok(Request::Status { job: 12 })
-        ));
-        assert!(matches!(
-            parse_request(r#"{"op":"cancel","job":3}"#),
-            Ok(Request::Cancel { job: 3 })
+            parse_request(r#"{"op":"shutdown"}"#),
+            Ok(Request::Shutdown)
         ));
     }
 
@@ -248,7 +220,6 @@ mod tests {
             panic!("submit did not parse");
         };
         assert_eq!(req.device.name, "tofino");
-        assert!(req.wait);
         assert_eq!(req.deadline_ms, None);
         assert_eq!(req.opts, OptConfig::all());
         assert_eq!(req.spec.states.len(), 1);
@@ -262,14 +233,13 @@ mod tests {
             .with("spec", codec::spec_to_json(&spec))
             .with("device", "trident")
             .with("deadline_ms", 1500_i64)
-            .with("wait", false)
+            .with("wait", true)
             .with("opts", Json::obj().with("opt7_parallel", false))
             .to_string();
         let Ok(Request::Submit(req)) = parse_request(&line) else {
             panic!("submit did not parse");
         };
         assert_eq!(req.device.name, "trident");
-        assert!(!req.wait);
         assert_eq!(req.deadline_ms, Some(1500));
         assert!(!req.opts.opt7_parallel);
         assert!(req.opts.opt1_spec_keys);
@@ -284,12 +254,30 @@ mod tests {
             "{}",
             r#"{"op":"warp"}"#,
             r#"{"op":"status"}"#,
+            r#"{"op":"status","job":1}"#,
+            r#"{"op":"result","job":1}"#,
+            r#"{"op":"cancel","job":1}"#,
             r#"{"op":"submit"}"#,
             r#"{"op":"submit","p4f":"parser {"}"#,
             r#"{"op":"submit","p4f":"x","spec":{}}"#,
             r#"{"op":"submit","device":"cisco"}"#,
         ] {
             assert!(parse_request(line).is_err(), "accepted {line:?}");
+        }
+        // The job-id mode is gone: only `"wait": true` (or no `wait`) is
+        // accepted, on an otherwise valid submit.
+        for wait in [
+            Json::Bool(false),
+            Json::Null,
+            Json::from(1_i64),
+            Json::from("true"),
+        ] {
+            let line = Json::obj()
+                .with("op", "submit")
+                .with("p4f", P4F)
+                .with("wait", wait)
+                .to_string();
+            assert!(parse_request(&line).is_err(), "accepted {line:?}");
         }
     }
 

@@ -7,17 +7,20 @@
 //!   [`TcpListener::accept`] and hands each connection to its own handler
 //!   thread;
 //! * handler threads parse line-delimited requests ([`crate::proto`]) and
-//!   operate on the shared state.  `submit` pushes a job id onto a
-//!   **bounded queue** — when the queue is at capacity the request is
-//!   rejected explicitly (`{"ok":false,"rejected":true}`), it never
-//!   blocks the client;
-//! * **worker threads** pop job ids, run [`ph_core::Synthesizer`] (with
-//!   the disk cache installed when configured) and publish results;
+//!   operate on the shared state.  A request line longer than
+//!   [`MAX_REQUEST_BYTES`] is answered with an error and the connection
+//!   closed.  `submit` pushes a job onto a **bounded queue** — when the
+//!   queue is at capacity the request is rejected explicitly
+//!   (`{"ok":false,"rejected":true}`), it never blocks the client — and
+//!   then blocks until the job's result lands and replies inline;
+//! * **worker threads** pop jobs, run [`ph_core::Synthesizer`] (with the
+//!   disk cache installed when configured) and hand the result to the
+//!   job's reply slot (a `Flight`);
 //! * **single-flight**: identical submissions — same content key *and*
 //!   field-for-field the same spec as a job that is still queued or
 //!   running — don't enqueue a second synthesis.  The duplicate becomes a
-//!   *follower* of the primary job and receives a copy of its result when
-//!   it lands.  Alpha-variants share a content key but not a field
+//!   *follower*: it waits on the primary's reply slot and receives a copy
+//!   of its result.  Alpha-variants share a content key but not a field
 //!   numbering, so they never follow each other: each runs its own job,
 //!   and the later ones replay the cache entry remapped to their own
 //!   fields.  Combined with the cache this gives exactly-one-synthesis for
@@ -29,29 +32,33 @@
 //!   and returns `Ok(())` — so `phd` exits 0.  SIGTERM reaches the same
 //!   path through [`install_sigterm_drain`], which the binary calls.
 //!
+//! A served request leaves nothing behind: the daemon keeps no job ids
+//! and no finished results.  The only per-request state is the reply
+//! slot in `inflight`, which the worker removes before it publishes the
+//! result, and which is freed once every waiter has written its reply.
+//!
 //! Socket discipline: every line — request or reply — is formatted into
 //! one buffer and sent with one `write_all`, and both ends set
 //! `TCP_NODELAY`, so a round trip never waits on Nagle's algorithm and a
 //! delayed ACK.
 //!
-//! Lock discipline: `inflight` may be held while taking `jobs` or
-//! `queue`; `jobs` and `queue` are never held while waiting for
-//! `inflight`.  Deduplication correctness comes from the submit path
-//! doing its in-flight check and enqueue under one `inflight` critical
-//! section.
+//! Lock discipline: `inflight` → `queue`, never the reverse.  The submit
+//! path does its in-flight check and enqueue under one `inflight`
+//! critical section, which is what makes deduplication correct; workers
+//! take `queue` and `inflight` one at a time.
 //!
 //! Everything observable increments `svc.*` counters on the ambient
 //! [`ph_obs`] tracer.
 
 use crate::cache::DiskCache;
-use crate::codec;
+use crate::codec::{self, CodecError};
 use crate::proto::{self, Request, SubmitReq};
 use ph_bits::Sha256;
 use ph_core::{SynthParams, Synthesizer};
 use ph_ir::canon::spec_fingerprint_text;
 use ph_obs::Json;
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -129,44 +136,44 @@ impl Default for ServerConfig {
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum JobStatus {
-    Queued,
-    Running,
-    Done,
-    Failed,
-    Canceled,
-}
-
-impl JobStatus {
-    fn name(self) -> &'static str {
-        match self {
-            JobStatus::Queued => "queued",
-            JobStatus::Running => "running",
-            JobStatus::Done => "done",
-            JobStatus::Failed => "failed",
-            JobStatus::Canceled => "canceled",
-        }
-    }
-
-    fn terminal(self) -> bool {
-        !matches!(self, JobStatus::Queued | JobStatus::Running)
-    }
-}
-
 /// A finished job's payload, pre-rendered for the wire:
 /// `Ok((program JSON, program text, stats JSON, cache_hit))` or the
 /// synthesis error message.
 type JobResult = Result<(Json, String, Json, bool), String>;
 
+/// The reply slot of one in-flight synthesis, shared by the submission
+/// that enqueued it and every follower.  It lives only as long as those
+/// submitters wait on it: once the last reply is written, it is freed.
+#[derive(Default)]
+struct Flight {
+    result: Mutex<Option<JobResult>>,
+    done: Condvar,
+}
+
+impl Flight {
+    fn finish(&self, result: JobResult) {
+        *self.result.lock().unwrap() = Some(result);
+        self.done.notify_all();
+    }
+
+    /// Blocks until the synthesis behind this flight finishes.
+    fn wait(&self) -> JobResult {
+        let mut slot = self.result.lock().unwrap();
+        loop {
+            if let Some(result) = slot.as_ref() {
+                return result.clone();
+            }
+            slot = self.done.wait(slot).unwrap();
+        }
+    }
+}
+
+/// A queued synthesis: the request, its in-flight identity (see
+/// [`flight_key`]) and the slot its submitters wait on.
 struct Job {
-    /// In-flight identity (see [`flight_key`]).
-    flight: String,
-    status: JobStatus,
-    submit: Option<Box<SubmitReq>>,
-    result: Option<JobResult>,
-    /// Duplicate submissions riding on this primary job.
-    followers: Vec<u64>,
+    req: Box<SubmitReq>,
+    key: String,
+    flight: Arc<Flight>,
 }
 
 #[derive(Default)]
@@ -174,7 +181,6 @@ struct Counters {
     submitted: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
-    canceled: AtomicU64,
     dedup_hits: AtomicU64,
     rejected_full: AtomicU64,
     cache_hits: AtomicU64,
@@ -182,15 +188,10 @@ struct Counters {
 }
 
 struct Shared {
-    queue: Mutex<VecDeque<u64>>,
+    queue: Mutex<VecDeque<Job>>,
     queue_cv: Condvar,
-    jobs: Mutex<HashMap<u64, Job>>,
-    /// Signaled whenever any job reaches a terminal status.
-    jobs_cv: Condvar,
-    /// In-flight identity → primary job id, for jobs still queued or
-    /// running.
-    inflight: Mutex<HashMap<String, u64>>,
-    next_job: AtomicU64,
+    /// In-flight identity → reply slot, for jobs still queued or running.
+    inflight: Mutex<HashMap<String, Arc<Flight>>>,
     draining: AtomicBool,
     /// The listener's address with an unspecified IP mapped to loopback:
     /// [`Shared::drain`] connects here to wake the blocked accept.
@@ -208,61 +209,59 @@ impl Shared {
         if !self.draining.swap(true, Ordering::SeqCst) {
             let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
         }
+        // Notify under the queue lock, so a worker between its flag check
+        // and its wait cannot miss the wakeup.
+        let _queue = self.queue.lock().unwrap();
         self.queue_cv.notify_all();
-    }
-
-    /// Publishes a terminal status (+ result) to a job and its followers.
-    fn publish(&self, id: u64, status: JobStatus, result: Option<JobResult>) {
-        let mut jobs = self.jobs.lock().unwrap();
-        let followers = match jobs.get_mut(&id) {
-            Some(job) => {
-                job.status = status;
-                job.result.clone_from(&result);
-                std::mem::take(&mut job.followers)
-            }
-            None => return,
-        };
-        for f in followers {
-            if let Some(fj) = jobs.get_mut(&f) {
-                fj.status = status;
-                fj.result.clone_from(&result);
-            }
-        }
-        drop(jobs);
-        self.jobs_cv.notify_all();
-    }
-
-    /// Blocks until `id` reaches a terminal status.
-    fn wait_done(&self, id: u64) -> (JobStatus, Option<JobResult>) {
-        let mut jobs = self.jobs.lock().unwrap();
-        loop {
-            match jobs.get(&id) {
-                None => return (JobStatus::Failed, None),
-                Some(j) if j.status.terminal() => return (j.status, j.result.clone()),
-                Some(_) => {}
-            }
-            jobs = self.jobs_cv.wait(jobs).unwrap();
-        }
-    }
-
-    fn job_flight(&self, id: u64) -> String {
-        self.jobs
-            .lock()
-            .unwrap()
-            .get(&id)
-            .map(|j| j.flight.clone())
-            .unwrap_or_default()
     }
 }
 
-/// Worker loop: pop a job, synthesize, publish.
+/// Runs one synthesis and renders its reply payload.
+fn run_job(shared: &Shared, req: &SubmitReq) -> JobResult {
+    let _span = ph_obs::current().span("svc.job");
+    let params = SynthParams {
+        timeout: req
+            .deadline_ms
+            .map(Duration::from_millis)
+            .or(SynthParams::default().timeout),
+        cache: shared.config.cache.clone(),
+        ..SynthParams::default()
+    };
+    let outcome = Synthesizer::new(req.device.clone(), req.opts)
+        .with_params(params)
+        .synthesize(&req.spec);
+    match outcome {
+        Ok(out) => {
+            let hit = out.stats.cache_hits > 0;
+            let ctr = if hit {
+                &shared.counters.cache_hits
+            } else {
+                &shared.counters.cache_misses
+            };
+            ctr.fetch_add(1, Ordering::Relaxed);
+            shared.counters.completed.fetch_add(1, Ordering::Relaxed);
+            Ok((
+                codec::program_to_json(&out.program),
+                out.program.to_string(),
+                out.stats.to_json(),
+                hit,
+            ))
+        }
+        Err(e) => {
+            shared.counters.failed.fetch_add(1, Ordering::Relaxed);
+            Err(e.to_string())
+        }
+    }
+}
+
+/// Worker loop: pop a job, synthesize, hand the result to its waiters.
 fn worker_loop(shared: &Shared) {
     loop {
-        let id = {
+        let job = {
             let mut q = shared.queue.lock().unwrap();
             loop {
-                if let Some(id) = q.pop_front() {
-                    break id;
+                if let Some(job) = q.pop_front() {
+                    break job;
                 }
                 if shared.draining.load(Ordering::SeqCst) {
                     return;
@@ -270,102 +269,15 @@ fn worker_loop(shared: &Shared) {
                 q = shared.queue_cv.wait(q).unwrap();
             }
         };
-        let submit = {
-            let mut jobs = shared.jobs.lock().unwrap();
-            match jobs.get_mut(&id) {
-                Some(j) if j.status == JobStatus::Queued => {
-                    j.status = JobStatus::Running;
-                    j.submit.take()
-                }
-                // Canceled (or vanished) while queued; its inflight entry
-                // was already removed by the cancel path.
-                _ => None,
-            }
-        };
-        let Some(req) = submit else { continue };
-        let _span = ph_obs::current().span("svc.job");
-        let params = SynthParams {
-            timeout: req
-                .deadline_ms
-                .map(Duration::from_millis)
-                .or(SynthParams::default().timeout),
-            cache: shared.config.cache.clone(),
-            ..SynthParams::default()
-        };
-        let outcome = Synthesizer::new(req.device.clone(), req.opts)
-            .with_params(params)
-            .synthesize(&req.spec);
-        let (status, result) = match outcome {
-            Ok(out) => {
-                let hit = out.stats.cache_hits > 0;
-                let ctr = if hit {
-                    &shared.counters.cache_hits
-                } else {
-                    &shared.counters.cache_misses
-                };
-                ctr.fetch_add(1, Ordering::Relaxed);
-                shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-                (
-                    JobStatus::Done,
-                    Ok((
-                        codec::program_to_json(&out.program),
-                        out.program.to_string(),
-                        out.stats.to_json(),
-                        hit,
-                    )),
-                )
-            }
-            Err(e) => {
-                shared.counters.failed.fetch_add(1, Ordering::Relaxed);
-                (JobStatus::Failed, Err(e.to_string()))
-            }
-        };
-        // Retire the in-flight entry before publishing: after this,
+        let result = run_job(shared, &job.req);
+        // Retire the in-flight entry before finishing: after this,
         // identical submissions enqueue fresh (and hit the disk cache)
-        // instead of following a finished job.
-        let flight = shared.job_flight(id);
-        {
-            let mut inflight = shared.inflight.lock().unwrap();
-            if inflight.get(&flight).copied() == Some(id) {
-                inflight.remove(&flight);
-            }
-        }
-        shared.publish(id, status, Some(result));
+        // instead of following a finished flight.  Only this job's submit
+        // inserted the entry and only its worker removes it, so the entry
+        // under `job.key` is this job's.
+        shared.inflight.lock().unwrap().remove(&job.key);
+        job.flight.finish(result);
     }
-}
-
-enum Placement {
-    Rejected,
-    Follower(u64),
-    Enqueued,
-}
-
-/// Enqueues `id` as a primary job, or rejects on a full queue.  Runs
-/// under the `inflight` lock.
-fn try_enqueue(
-    shared: &Shared,
-    inflight: &mut HashMap<String, u64>,
-    id: u64,
-    flight: &str,
-    req: Box<SubmitReq>,
-) -> Placement {
-    let mut queue = shared.queue.lock().unwrap();
-    if queue.len() >= shared.config.queue_cap {
-        return Placement::Rejected;
-    }
-    shared.jobs.lock().unwrap().insert(
-        id,
-        Job {
-            flight: flight.to_string(),
-            status: JobStatus::Queued,
-            submit: Some(req),
-            result: None,
-            followers: Vec::new(),
-        },
-    );
-    inflight.insert(flight.to_string(), id);
-    queue.push_back(id);
-    Placement::Enqueued
 }
 
 /// The single-flight identity of a submission: its content key plus the
@@ -377,7 +289,8 @@ fn flight_key(key: &str, spec: &ph_ir::ParserSpec) -> String {
     Sha256::digest_hex(format!("{key}\n{}", spec_fingerprint_text(spec)).as_bytes())
 }
 
-/// Handles one submit request end to end; returns the response.
+/// Handles one submit request end to end: places it, blocks until its
+/// synthesis finishes and returns the reply.
 fn handle_submit(shared: &Shared, req: Box<SubmitReq>) -> Json {
     if shared.draining.load(Ordering::SeqCst) {
         return proto::error_response("draining");
@@ -385,143 +298,66 @@ fn handle_submit(shared: &Shared, req: Box<SubmitReq>) -> Json {
     // Content key: same canonical spec, device model and synthesis knobs
     // as the daemon's workers will use.
     let key = DiskCache::key(&req.spec, &req.device, req.opts, &SynthParams::default());
-    let flight = flight_key(&key, &req.spec);
+    let flight_key = flight_key(&key, &req.spec);
     shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
     ph_obs::current().count("svc.submitted", 1);
-    let wait = req.wait;
-    let id = shared.next_job.fetch_add(1, Ordering::Relaxed);
 
-    let placement = {
-        // In-flight check and enqueue are one critical section so two
-        // identical concurrent submissions can't both become primaries.
+    // In-flight check and enqueue are one critical section so two
+    // identical concurrent submissions can't both become primaries.
+    let (flight, deduped) = {
         let mut inflight = shared.inflight.lock().unwrap();
-        match inflight.get(&flight).copied() {
-            Some(primary) => {
-                let mut jobs = shared.jobs.lock().unwrap();
-                let attached = match jobs.get_mut(&primary) {
-                    Some(p) if !p.status.terminal() => {
-                        p.followers.push(id);
-                        let status = p.status;
-                        jobs.insert(
-                            id,
-                            Job {
-                                flight: flight.clone(),
-                                status,
-                                submit: None,
-                                result: None,
-                                followers: Vec::new(),
-                            },
-                        );
-                        true
-                    }
-                    _ => false,
-                };
-                drop(jobs);
-                if attached {
-                    shared.counters.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                    ph_obs::current().count("svc.dedup", 1);
-                    Placement::Follower(primary)
-                } else {
-                    // Raced with completion: enqueue fresh.
-                    inflight.remove(&flight);
-                    try_enqueue(shared, &mut inflight, id, &flight, req)
-                }
+        if let Some(flight) = inflight.get(&flight_key) {
+            (Arc::clone(flight), true)
+        } else {
+            let mut queue = shared.queue.lock().unwrap();
+            // Re-checked under the queue lock, where workers decide to
+            // exit: a job enqueued here is always run.
+            if shared.draining.load(Ordering::SeqCst) {
+                return proto::error_response("draining");
             }
-            None => try_enqueue(shared, &mut inflight, id, &flight, req),
+            if queue.len() >= shared.config.queue_cap {
+                shared
+                    .counters
+                    .rejected_full
+                    .fetch_add(1, Ordering::Relaxed);
+                ph_obs::current().count("svc.rejected_full", 1);
+                return proto::rejected_response();
+            }
+            let flight = Arc::new(Flight::default());
+            inflight.insert(flight_key.clone(), Arc::clone(&flight));
+            queue.push_back(Job {
+                req,
+                key: flight_key,
+                flight: Arc::clone(&flight),
+            });
+            (flight, false)
         }
     };
-
-    match placement {
-        Placement::Rejected => {
-            shared
-                .counters
-                .rejected_full
-                .fetch_add(1, Ordering::Relaxed);
-            ph_obs::current().count("svc.rejected_full", 1);
-            proto::rejected_response()
-        }
-        Placement::Follower(primary) => finish_submit(shared, id, wait, &key, Some(primary)),
-        Placement::Enqueued => {
-            shared.queue_cv.notify_one();
-            finish_submit(shared, id, wait, &key, None)
-        }
+    if deduped {
+        shared.counters.dedup_hits.fetch_add(1, Ordering::Relaxed);
+        ph_obs::current().count("svc.dedup", 1);
+    } else {
+        shared.queue_cv.notify_one();
     }
-}
 
-fn finish_submit(shared: &Shared, id: u64, wait: bool, key: &str, primary: Option<u64>) -> Json {
     let mut resp = proto::ok_response()
-        .with("job", id)
         .with("key", key)
-        .with("deduped", primary.is_some());
-    if !wait {
-        return resp;
-    }
-    let (status, result) = shared.wait_done(id);
-    resp.set("status", status.name());
-    attach_result(&mut resp, status, result);
-    resp
-}
-
-fn attach_result(resp: &mut Json, status: JobStatus, result: Option<JobResult>) {
-    match result {
-        Some(Ok((program, text, stats, cache_hit))) => {
+        .with("deduped", deduped);
+    match flight.wait() {
+        Ok((program, text, stats, cache_hit)) => {
+            resp.set("status", "done");
             resp.set("cache_hit", cache_hit);
             resp.set("program", program);
             resp.set("program_text", text);
             resp.set("stats", stats);
         }
-        Some(Err(e)) => {
+        Err(e) => {
+            resp.set("status", "failed");
             resp.set("ok", false);
             resp.set("error", e);
         }
-        None => {
-            if status != JobStatus::Done {
-                resp.set("ok", false);
-                resp.set("error", format!("job {}", status.name()));
-            }
-        }
     }
-}
-
-fn handle_cancel(shared: &Shared, job: u64) -> Json {
-    // Decide under the jobs lock; release it before touching inflight
-    // (lock discipline: never jobs → inflight).
-    let decision = {
-        let mut jobs = shared.jobs.lock().unwrap();
-        let decision = match jobs.get_mut(&job) {
-            None => None,
-            Some(j) if j.status == JobStatus::Queued => {
-                j.status = JobStatus::Canceled;
-                j.submit = None;
-                Some(Ok((std::mem::take(&mut j.followers), j.flight.clone())))
-            }
-            Some(j) => Some(Err(j.status)),
-        };
-        if let Some(Ok((followers, _))) = &decision {
-            for f in followers {
-                if let Some(fj) = jobs.get_mut(f) {
-                    fj.status = JobStatus::Canceled;
-                }
-            }
-        }
-        decision
-    };
-    match decision {
-        None => proto::error_response("unknown job"),
-        Some(Err(status)) => {
-            proto::error_response("job not cancelable").with("status", status.name())
-        }
-        Some(Ok((_, flight))) => {
-            shared.counters.canceled.fetch_add(1, Ordering::Relaxed);
-            let mut inflight = shared.inflight.lock().unwrap();
-            if inflight.get(&flight).copied() == Some(job) {
-                inflight.remove(&flight);
-            }
-            drop(inflight);
-            shared.jobs_cv.notify_all();
-            proto::ok_response().with("job", job).with("canceled", true)
-        }
-    }
+    resp
 }
 
 /// Dispatches one request.  The bool asks the connection handler to
@@ -533,48 +369,12 @@ fn handle_request(shared: &Shared, req: Request) -> (Json, bool) {
     let _span = ph_obs::current().span(match &req {
         Request::Ping => "svc.op.ping",
         Request::Submit(_) => "svc.op.submit",
-        Request::Status { .. } => "svc.op.status",
-        Request::Result { .. } => "svc.op.result",
-        Request::Cancel { .. } => "svc.op.cancel",
         Request::Stats => "svc.op.stats",
         Request::Shutdown => "svc.op.shutdown",
     });
     match req {
         Request::Ping => (proto::ok_response().with("pong", true), false),
         Request::Submit(s) => (handle_submit(shared, s), false),
-        Request::Status { job } => {
-            let jobs = shared.jobs.lock().unwrap();
-            match jobs.get(&job) {
-                None => (proto::error_response("unknown job"), false),
-                Some(j) => (
-                    proto::ok_response()
-                        .with("job", job)
-                        .with("status", j.status.name()),
-                    false,
-                ),
-            }
-        }
-        Request::Result { job } => {
-            let (status, result) = {
-                let jobs = shared.jobs.lock().unwrap();
-                match jobs.get(&job) {
-                    None => return (proto::error_response("unknown job"), false),
-                    Some(j) => (j.status, j.result.clone()),
-                }
-            };
-            if !status.terminal() {
-                return (
-                    proto::error_response("job not finished").with("status", status.name()),
-                    false,
-                );
-            }
-            let mut resp = proto::ok_response()
-                .with("job", job)
-                .with("status", status.name());
-            attach_result(&mut resp, status, result);
-            (resp, false)
-        }
-        Request::Cancel { job } => (handle_cancel(shared, job), false),
         Request::Stats => {
             let c = &shared.counters;
             let queue_len = shared.queue.lock().unwrap().len();
@@ -583,7 +383,6 @@ fn handle_request(shared: &Shared, req: Request) -> (Json, bool) {
                     .with("submitted", c.submitted.load(Ordering::Relaxed))
                     .with("completed", c.completed.load(Ordering::Relaxed))
                     .with("failed", c.failed.load(Ordering::Relaxed))
-                    .with("canceled", c.canceled.load(Ordering::Relaxed))
                     .with("dedup_hits", c.dedup_hits.load(Ordering::Relaxed))
                     .with("rejected_full", c.rejected_full.load(Ordering::Relaxed))
                     .with("cache_hits", c.cache_hits.load(Ordering::Relaxed))
@@ -599,17 +398,26 @@ fn handle_request(shared: &Shared, req: Request) -> (Json, bool) {
     }
 }
 
+/// The longest request line the daemon reads, newline excluded.  The
+/// largest registry submission is about 2 KB, so this leaves ample room
+/// while bounding what one connection can make the daemon buffer.
+pub const MAX_REQUEST_BYTES: u64 = 1 << 20;
+
 /// Serves one connection: line in, line out, each reply sent with one
 /// write on a `TCP_NODELAY` socket.  Reads poll with a timeout so an idle
-/// connection notices a drain instead of pinning the join.
+/// connection notices a drain instead of pinning the join; a line longer
+/// than [`MAX_REQUEST_BYTES`] is answered with an error and closes the
+/// connection.
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
+        // A timeout keeps the bytes read so far; the next read resumes
+        // the same line.
+        let room = MAX_REQUEST_BYTES + 1 - line.len() as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => break, // EOF
             Ok(_) => {}
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
@@ -621,19 +429,31 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => break,
         }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (resp, drain) = match proto::parse_request(line.trim()) {
-            Ok(req) => handle_request(shared, req),
-            Err(e) => {
-                ph_obs::current().count("svc.bad_request", 1);
-                (proto::error_response(&e.to_string()), false)
+        let too_long = line.len() as u64 > MAX_REQUEST_BYTES;
+        let (resp, drain) = if too_long {
+            ph_obs::current().count("svc.bad_request", 1);
+            (proto::error_response("request line too long"), false)
+        } else {
+            let text = std::str::from_utf8(&line).map(str::trim);
+            if text == Ok("") {
+                line.clear();
+                continue;
+            }
+            let parsed = text
+                .map_err(|_| CodecError("request is not UTF-8".into()))
+                .and_then(proto::parse_request);
+            match parsed {
+                Ok(req) => handle_request(shared, req),
+                Err(e) => {
+                    ph_obs::current().count("svc.bad_request", 1);
+                    (proto::error_response(&e.to_string()), false)
+                }
             }
         };
+        line.clear();
         let mut reply = resp.to_string();
         reply.push('\n');
-        if reader.get_mut().write_all(reply.as_bytes()).is_err() {
+        if reader.get_mut().write_all(reply.as_bytes()).is_err() || too_long {
             break;
         }
         if drain {
@@ -682,10 +502,7 @@ impl Server {
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
-            jobs: Mutex::new(HashMap::new()),
-            jobs_cv: Condvar::new(),
             inflight: Mutex::new(HashMap::new()),
-            next_job: AtomicU64::new(1),
             draining: AtomicBool::new(false),
             wake_addr,
             counters: Counters::default(),
@@ -753,7 +570,6 @@ impl Server {
         ph_obs::current().count("svc.drain", 1);
         // Drain: workers exit once the queue is empty; connection
         // handlers notice the flag on their next read timeout.
-        shared.queue_cv.notify_all();
         for w in workers {
             let _ = w.join();
         }

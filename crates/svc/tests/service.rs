@@ -1,13 +1,16 @@
 //! End-to-end daemon tests over real loopback TCP: cache replay through
 //! the service, deterministic single-flight dedup (and its refusal to
-//! merge alpha-variants), queue-full backpressure, round trips free of
-//! Nagle stalls, and graceful drain waking the blocked accept.
+//! merge alpha-variants), queue-full backpressure, the request-line cap,
+//! round trips free of Nagle stalls, and graceful drain waking the
+//! blocked accept.
 
 use ph_core::{CacheHook, OptConfig, SynthCache, SynthOutput, SynthParams};
 use ph_hw::DeviceProfile;
 use ph_ir::ParserSpec;
 use ph_obs::Json;
-use ph_svc::{Client, ClientError, DiskCache, Server, ServerConfig, ShutdownHandle};
+use ph_svc::{Client, ClientError, DiskCache, Server, ServerConfig, ShutdownHandle, SubmitOutcome};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -58,6 +61,40 @@ fn start(
     let handle = server.shutdown_handle();
     let join = std::thread::spawn(move || server.run());
     (addr, handle, join)
+}
+
+/// Submits `spec` on a fresh connection from its own thread, so several
+/// blocking submissions can be in flight at once.
+fn submit_in_background(
+    addr: &str,
+    spec: &ParserSpec,
+) -> std::thread::JoinHandle<Result<SubmitOutcome, ClientError>> {
+    let addr = addr.to_string();
+    let spec = spec.clone();
+    std::thread::spawn(move || {
+        Client::connect(&addr)?.submit_wait(
+            &spec,
+            &DeviceProfile::tofino(),
+            OptConfig::all(),
+            Some(Duration::from_secs(30)),
+        )
+    })
+}
+
+/// Polls the daemon's `stats` until `counter` reads `target`.
+fn await_stat(client: &mut Client, counter: &str, target: i64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = client.stats().unwrap();
+        if stats.get(counter).and_then(Json::as_i64) == Some(target) {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{counter} never reached {target}: {stats}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 #[test]
@@ -150,47 +187,25 @@ fn identical_concurrent_submissions_synthesize_exactly_once() {
     let spec = tiny_spec(7);
     let mut client = Client::connect(&addr).unwrap();
 
-    let submit_nowait = |client: &mut Client| -> Json {
-        let req = Json::obj()
-            .with("op", "submit")
-            .with("spec", ph_svc::codec::spec_to_json(&spec))
-            .with("device", "tofino")
-            .with("wait", false);
-        client.request(&req).unwrap()
-    };
-
     // Primary: enqueued, then the worker parks inside the cache lookup.
-    let primary = submit_nowait(&mut client);
-    assert_eq!(primary.get("deduped").and_then(Json::as_bool), Some(false));
+    let primary = submit_in_background(&addr, &spec);
     gate.entered.wait(); // the worker is now provably mid-synthesis
 
     // Identical submissions while it runs: all become followers.
-    let mut follower_jobs = Vec::new();
-    for _ in 0..DUPES {
-        let resp = submit_nowait(&mut client);
-        assert_eq!(
-            resp.get("deduped").and_then(Json::as_bool),
-            Some(true),
-            "in-flight duplicate must dedup, got {resp}"
-        );
-        follower_jobs.push(resp.get("job").and_then(Json::as_i64).unwrap());
-    }
+    let followers: Vec<_> = (0..DUPES)
+        .map(|_| submit_in_background(&addr, &spec))
+        .collect();
+    await_stat(&mut client, "dedup_hits", DUPES as i64);
 
     gate.release.wait(); // let the one synthesis proceed
 
-    // Every follower receives the primary's result.
-    for job in follower_jobs {
-        let result = loop {
-            match client.request(&Json::obj().with("op", "result").with("job", job)) {
-                Ok(r) => break r,
-                Err(ClientError::Daemon { message, .. }) if message.contains("not finished") => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) => panic!("result op failed: {e}"),
-            }
-        };
-        assert_eq!(result.get("status").and_then(Json::as_str), Some("done"));
-        assert!(result.get("program").is_some());
+    // Every follower receives the primary's result, byte for byte.
+    let primary = primary.join().unwrap().unwrap();
+    assert!(!primary.deduped);
+    for follower in followers {
+        let out = follower.join().unwrap().unwrap();
+        assert!(out.deduped, "in-flight duplicate must dedup");
+        assert_eq!(out.program_text, primary.program_text);
     }
 
     let stats = client.stats().unwrap();
@@ -296,40 +311,22 @@ fn alpha_variants_in_flight_get_programs_in_their_own_field_numbering() {
     assert_ne!(swapped.fields[0], primary.fields[0]);
 
     let mut client = Client::connect(&addr).unwrap();
-    let submit_nowait = |client: &mut Client, spec: &ParserSpec| -> i64 {
-        let req = Json::obj()
-            .with("op", "submit")
-            .with("spec", ph_svc::codec::spec_to_json(spec))
-            .with("device", "tofino")
-            .with("wait", false);
-        let resp = client.request(&req).unwrap();
-        resp.get("job").and_then(Json::as_i64).unwrap()
-    };
 
     // The primary parks in its cache lookup; both variants arrive while
-    // it is provably in flight.
-    let mut jobs = vec![(submit_nowait(&mut client, &primary), &primary)];
+    // it is provably in flight, and neither follows it.
+    let mut jobs = vec![(submit_in_background(&addr, &primary), &primary)];
     gate.entered.wait();
-    jobs.push((submit_nowait(&mut client, &swapped), &swapped));
-    jobs.push((submit_nowait(&mut client, &padded), &padded));
+    jobs.push((submit_in_background(&addr, &swapped), &swapped));
+    jobs.push((submit_in_background(&addr, &padded), &padded));
+    await_stat(&mut client, "queue_len", 2);
     gate.release.wait();
 
-    for (job, spec) in jobs {
-        let result = loop {
-            match client.request(&Json::obj().with("op", "result").with("job", job)) {
-                Ok(r) => break r,
-                Err(ClientError::Daemon { message, .. }) if message.contains("not finished") => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) => panic!("result op failed: {e}"),
-            }
-        };
-        assert_eq!(result.get("status").and_then(Json::as_str), Some("done"));
-        let program = ph_svc::codec::program_from_json(result.get("program").unwrap()).unwrap();
+    for (i, (job, spec)) in jobs.into_iter().enumerate() {
+        let program = job.join().unwrap().unwrap().program;
         let violations = ph_hw::check_program(&program, &spec.fields);
-        assert!(violations.is_empty(), "job {job}: {violations:?}");
+        assert!(violations.is_empty(), "variant {i}: {violations:?}");
         if let Err(d) = ph_core::fuzz::check_e2e(spec, &program, 7, 400) {
-            panic!("job {job}: program diverges from its own spec: {d}");
+            panic!("variant {i}: program diverges from its own spec: {d}");
         }
     }
 
@@ -353,23 +350,23 @@ fn full_queue_rejects_explicitly_instead_of_hanging() {
         ..ServerConfig::default()
     });
     let mut client = Client::connect(&addr).unwrap();
-    let submit_nowait = |client: &mut Client, accept_on: u8| {
-        let req = Json::obj()
-            .with("op", "submit")
-            .with("spec", ph_svc::codec::spec_to_json(&tiny_spec(accept_on)))
-            .with("device", "tofino")
-            .with("wait", false);
-        client.request(&req)
-    };
 
     // Job 1 occupies the single worker (parked in the gated lookup);
     // job 2 (a *different* spec, so no dedup) fills the 1-slot queue.
-    submit_nowait(&mut client, 1).unwrap();
+    let first = submit_in_background(&addr, &tiny_spec(1));
     gate.entered.wait();
-    submit_nowait(&mut client, 2).unwrap();
+    let second = submit_in_background(&addr, &tiny_spec(2));
+    await_stat(&mut client, "queue_len", 1);
 
     // Job 3 must be rejected immediately and explicitly.
-    let err = submit_nowait(&mut client, 3).unwrap_err();
+    let err = client
+        .submit_wait(
+            &tiny_spec(3),
+            &DeviceProfile::tofino(),
+            OptConfig::all(),
+            None,
+        )
+        .unwrap_err();
     match err {
         ClientError::Daemon { rejected, .. } => {
             assert!(rejected, "queue-full must set the rejected flag");
@@ -383,6 +380,53 @@ fn full_queue_rejects_explicitly_instead_of_hanging() {
     gate.release.wait();
     gate.entered.wait();
     gate.release.wait();
+    first.join().unwrap().unwrap();
+    second.join().unwrap().unwrap();
+
+    handle.shutdown();
+    assert!(join.join().unwrap().is_ok());
+}
+
+/// A request line may not grow without bound: an unterminated line past
+/// the cap gets an error reply (or a reset) and its connection closes,
+/// while the daemon keeps serving everyone else.  A line that is not
+/// UTF-8 is an ordinary bad request.
+#[test]
+fn overlong_request_line_is_refused_and_the_daemon_keeps_serving() {
+    let (addr, handle, join) = start(ServerConfig {
+        workers: 1,
+        queue_cap: 4,
+        ..ServerConfig::default()
+    });
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(b"\xff\n").unwrap();
+    let mut reply = String::new();
+    BufReader::new(&stream).read_line(&mut reply).unwrap();
+    let resp = Json::parse(reply.trim()).unwrap();
+    assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{resp}");
+
+    // 2 MiB with no newline.  The daemon closes mid-send, so the write
+    // may fail; what matters is the reply and the close.
+    let _ = stream.write_all(&vec![b' '; 2 << 20]);
+    reply.clear();
+    match BufReader::new(&stream).read_line(&mut reply) {
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            panic!("the daemon neither replied nor closed the connection")
+        }
+        Ok(0) | Err(_) => {} // closed (a reset can discard the reply)
+        Ok(_) => {
+            let resp = Json::parse(reply.trim()).unwrap();
+            assert_eq!(resp.get("ok"), Some(&Json::Bool(false)));
+            assert_eq!(
+                resp.get("error").and_then(Json::as_str),
+                Some("request line too long")
+            );
+        }
+    }
+    Client::connect(&addr).unwrap().ping().unwrap();
 
     handle.shutdown();
     assert!(join.join().unwrap().is_ok());
