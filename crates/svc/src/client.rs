@@ -6,9 +6,15 @@ use ph_core::OptConfig;
 use ph_hw::DeviceProfile;
 use ph_ir::ParserSpec;
 use ph_obs::Json;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
+
+/// The longest reply line the client reads, newline excluded.  The
+/// largest registry reply is about 4.6 KB (`Sai V1`, 13 entries), so 1 MiB
+/// leaves over 200× headroom while bounding what a misbehaving daemon can
+/// make the client buffer.
+pub const MAX_REPLY_BYTES: u64 = 1 << 20;
 
 /// What went wrong talking to the daemon.
 #[derive(Debug)]
@@ -101,20 +107,34 @@ impl Client {
     /// # Errors
     ///
     /// Transport failures and unparsable responses; `"ok": false`
-    /// responses are returned as [`ClientError::Daemon`].
+    /// responses are returned as [`ClientError::Daemon`].  A reply line
+    /// longer than [`MAX_REPLY_BYTES`] is a [`ClientError::Protocol`] and
+    /// closes the connection.
     pub fn request(&mut self, req: &Json) -> Result<Json, ClientError> {
         let mut out = req.to_string();
         out.push('\n');
         self.stream.get_mut().write_all(out.as_bytes())?;
-        let mut line = String::new();
-        let n = self.stream.read_line(&mut line)?;
+        let mut line = Vec::new();
+        let n = (&mut self.stream)
+            .take(MAX_REPLY_BYTES + 1)
+            .read_until(b'\n', &mut line)?;
         if n == 0 {
             return Err(ClientError::Io(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "daemon closed the connection",
             )));
         }
-        let resp = Json::parse(line.trim())
+        if line.len() as u64 > MAX_REPLY_BYTES && !line.ends_with(b"\n") {
+            // The rest of the line is still unread: nothing after it on
+            // this connection can be trusted.
+            let _ = self.stream.get_ref().shutdown(Shutdown::Both);
+            return Err(ClientError::Protocol(format!(
+                "reply line longer than {MAX_REPLY_BYTES} bytes"
+            )));
+        }
+        let text = std::str::from_utf8(&line)
+            .map_err(|_| ClientError::Protocol("response is not UTF-8".into()))?;
+        let resp = Json::parse(text.trim())
             .map_err(|e| ClientError::Protocol(format!("bad response JSON: {e}")))?;
         match resp.get("ok").and_then(Json::as_bool) {
             Some(true) => Ok(resp),

@@ -14,10 +14,11 @@
 //!   and fuzz campaigns — a disk read instead of a CEGIS run.
 //! * [`server`] / [`client`] — the daemon, serving line-delimited JSON
 //!   over TCP ([`proto`]): one `submit`, one reply carrying the program.
-//!   Bounded-queue backpressure, a synthesis worker pool, single-flight
-//!   deduplication of identical in-flight requests, per-request deadlines
-//!   and graceful drain on SIGTERM or a `shutdown` request.  A served
-//!   request leaves no state behind in the daemon.
+//!   Cache hits are answered on the connection thread; misses get
+//!   bounded-queue backpressure, a synthesis worker pool and
+//!   single-flight deduplication of identical in-flight requests.
+//!   Per-request deadlines and graceful drain on SIGTERM or a `shutdown`
+//!   request.  A served request leaves no state behind in the daemon.
 //! * [`codec`] — hand-written JSON codecs for the IR and program types.
 //!
 //! The crate is a library only and reads no environment: the `phd` and

@@ -9,22 +9,29 @@
 //! * handler threads parse line-delimited requests ([`crate::proto`]) and
 //!   operate on the shared state.  A request line longer than
 //!   [`MAX_REQUEST_BYTES`] is answered with an error and the connection
-//!   closed.  `submit` pushes a job onto a **bounded queue** — when the
-//!   queue is at capacity the request is rejected explicitly
+//!   closed;
+//! * **cache hits are served on the handler thread**: `submit` validates
+//!   the spec and looks it up in the configured cache first, as
+//!   [`ph_core::Synthesizer::synthesize`] would, and a hit is answered at
+//!   once.  It never waits on a worker, never follows a flight and never
+//!   counts against the queue;
+//! * a **miss** is pushed onto a **bounded queue** — when the queue is at
+//!   capacity the request is rejected explicitly
 //!   (`{"ok":false,"rejected":true}`), it never blocks the client — and
-//!   then blocks until the job's result lands and replies inline;
+//!   the handler blocks until the job's result lands and replies inline;
 //! * **worker threads** pop jobs, run [`ph_core::Synthesizer`] (with the
-//!   disk cache installed when configured) and hand the result to the
-//!   job's reply slot (a `Flight`);
-//! * **single-flight**: identical submissions — same content key *and*
-//!   field-for-field the same spec as a job that is still queued or
-//!   running — don't enqueue a second synthesis.  The duplicate becomes a
-//!   *follower*: it waits on the primary's reply slot and receives a copy
-//!   of its result.  Alpha-variants share a content key but not a field
-//!   numbering, so they never follow each other: each runs its own job,
-//!   and the later ones replay the cache entry remapped to their own
-//!   fields.  Combined with the cache this gives exactly-one-synthesis for
-//!   any burst of identical requests;
+//!   disk cache installed when configured, so an entry stored while the
+//!   job was queued is still a hit) and hand the result to the job's
+//!   reply slot (a `Flight`);
+//! * **single-flight** (misses only): identical submissions — same
+//!   content key *and* field-for-field the same spec as a job that is
+//!   still queued or running — don't enqueue a second synthesis.  The
+//!   duplicate becomes a *follower*: it waits on the primary's reply slot
+//!   and receives a copy of its result.  Alpha-variants share a content
+//!   key but not a field numbering, so they never follow each other: each
+//!   runs its own job, and the later ones replay the cache entry remapped
+//!   to their own fields.  Combined with the cache this gives
+//!   exactly-one-synthesis for any burst of identical requests;
 //! * **graceful drain**: a `shutdown` request or a [`ShutdownHandle`]
 //!   sets the draining flag and wakes the blocked accept by connecting to
 //!   the listener's own address; the accept loop sees the flag, stops
@@ -48,13 +55,18 @@
 //! take `queue` and `inflight` one at a time.
 //!
 //! Everything observable increments `svc.*` counters on the ambient
-//! [`ph_obs`] tracer.
+//! [`ph_obs`] tracer.  A request's time is split into spans:
+//! `svc.request.decode` (parsing the line), `svc.op.*` (the endpoint) and
+//! `svc.reply.write` (serializing the reply and the `write_all`).  Under
+//! `svc.op.submit`, `svc.key` times the content key, `cache.lookup` the
+//! inline lookup and `svc.reply.render` the program and stats rendering;
+//! only a miss adds `svc.job` on a worker.
 
 use crate::cache::DiskCache;
 use crate::codec::{self, CodecError};
 use crate::proto::{self, Request, SubmitReq};
 use ph_bits::Sha256;
-use ph_core::{SynthParams, Synthesizer};
+use ph_core::{SynthOutput, SynthParams, Synthesizer};
 use ph_ir::canon::spec_fingerprint_text;
 use ph_obs::Json;
 use std::collections::{HashMap, VecDeque};
@@ -117,11 +129,15 @@ pub struct ServerConfig {
     /// Bind address, e.g. `"127.0.0.1:9077"`; port 0 picks an ephemeral
     /// port (see [`Server::local_addr`]).
     pub addr: String,
-    /// Worker threads executing synthesis jobs.
+    /// Worker threads executing synthesis jobs.  Cache hits do not use
+    /// them: they are answered on the connection's handler thread.
     pub workers: usize,
-    /// Bounded queue capacity; submissions beyond it are rejected.
+    /// Bounded queue capacity; cache misses beyond it are rejected.  A
+    /// hit never enters the queue, so it is never rejected.
     pub queue_cap: usize,
-    /// Result cache consulted and populated by every job.
+    /// Result cache consulted by every submission on its handler thread
+    /// (a hit is answered there), and consulted again and populated by
+    /// every job.
     pub cache: Option<CacheHook>,
 }
 
@@ -216,37 +232,66 @@ impl Shared {
     }
 }
 
-/// Runs one synthesis and renders its reply payload.
-fn run_job(shared: &Shared, req: &SubmitReq) -> JobResult {
-    let _span = ph_obs::current().span("svc.job");
-    let params = SynthParams {
+/// The run parameters of a submission: the defaults, the request's
+/// deadline and the daemon's cache.
+fn synth_params(shared: &Shared, req: &SubmitReq) -> SynthParams {
+    SynthParams {
         timeout: req
             .deadline_ms
             .map(Duration::from_millis)
             .or(SynthParams::default().timeout),
         cache: shared.config.cache.clone(),
         ..SynthParams::default()
+    }
+}
+
+/// Renders a successful output for the wire, counting it as completed
+/// and as a cache hit or miss.
+fn render_ok(shared: &Shared, out: &SynthOutput) -> JobResult {
+    let _span = ph_obs::current().span("svc.reply.render");
+    let hit = out.stats.cache_hits > 0;
+    let ctr = if hit {
+        &shared.counters.cache_hits
+    } else {
+        &shared.counters.cache_misses
     };
+    ctr.fetch_add(1, Ordering::Relaxed);
+    shared.counters.completed.fetch_add(1, Ordering::Relaxed);
+    Ok((
+        codec::program_to_json(&out.program),
+        out.program.to_string(),
+        out.stats.to_json(),
+        hit,
+    ))
+}
+
+/// Answers a submission from the cache on the calling thread, doing what
+/// [`Synthesizer::synthesize`] does before it solves: validate the spec,
+/// look it up, mark the stats as a hit.  An invalid spec is left to the
+/// worker, whose synthesis reports it.
+fn lookup_inline(shared: &Shared, req: &SubmitReq) -> Option<SynthOutput> {
+    let hook = shared.config.cache.as_ref()?;
+    req.spec.validate().ok()?;
+    let tracer = ph_obs::current();
+    let mut out = {
+        let _span = tracer.span("cache.lookup");
+        hook.0
+            .lookup(&req.spec, &req.device, req.opts, &synth_params(shared, req))
+    }?;
+    tracer.count("svc.cache.hit", 1);
+    out.stats.cache_hits = 1;
+    out.stats.cache_misses = 0;
+    Some(out)
+}
+
+/// Runs one synthesis and renders its reply payload.
+fn run_job(shared: &Shared, req: &SubmitReq) -> JobResult {
+    let _span = ph_obs::current().span("svc.job");
     let outcome = Synthesizer::new(req.device.clone(), req.opts)
-        .with_params(params)
+        .with_params(synth_params(shared, req))
         .synthesize(&req.spec);
     match outcome {
-        Ok(out) => {
-            let hit = out.stats.cache_hits > 0;
-            let ctr = if hit {
-                &shared.counters.cache_hits
-            } else {
-                &shared.counters.cache_misses
-            };
-            ctr.fetch_add(1, Ordering::Relaxed);
-            shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-            Ok((
-                codec::program_to_json(&out.program),
-                out.program.to_string(),
-                out.stats.to_json(),
-                hit,
-            ))
-        }
+        Ok(out) => render_ok(shared, &out),
         Err(e) => {
             shared.counters.failed.fetch_add(1, Ordering::Relaxed);
             Err(e.to_string())
@@ -289,18 +334,49 @@ fn flight_key(key: &str, spec: &ph_ir::ParserSpec) -> String {
     Sha256::digest_hex(format!("{key}\n{}", spec_fingerprint_text(spec)).as_bytes())
 }
 
-/// Handles one submit request end to end: places it, blocks until its
-/// synthesis finishes and returns the reply.
+/// The `submit` reply for a finished synthesis or cache hit.
+fn submit_response(key: String, deduped: bool, result: JobResult) -> Json {
+    let mut resp = proto::ok_response()
+        .with("key", key)
+        .with("deduped", deduped);
+    match result {
+        Ok((program, text, stats, cache_hit)) => {
+            resp.set("status", "done");
+            resp.set("cache_hit", cache_hit);
+            resp.set("program", program);
+            resp.set("program_text", text);
+            resp.set("stats", stats);
+        }
+        Err(e) => {
+            resp.set("status", "failed");
+            resp.set("ok", false);
+            resp.set("error", e);
+        }
+    }
+    resp
+}
+
+/// Handles one submit request end to end: answers a cache hit at once;
+/// otherwise places it, blocks until its synthesis finishes and returns
+/// the reply.
 fn handle_submit(shared: &Shared, req: Box<SubmitReq>) -> Json {
     if shared.draining.load(Ordering::SeqCst) {
         return proto::error_response("draining");
     }
+    let tracer = ph_obs::current();
     // Content key: same canonical spec, device model and synthesis knobs
     // as the daemon's workers will use.
-    let key = DiskCache::key(&req.spec, &req.device, req.opts, &SynthParams::default());
-    let flight_key = flight_key(&key, &req.spec);
+    let key = {
+        let _span = tracer.span("svc.key");
+        DiskCache::key(&req.spec, &req.device, req.opts, &SynthParams::default())
+    };
     shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
-    ph_obs::current().count("svc.submitted", 1);
+    tracer.count("svc.submitted", 1);
+    if let Some(out) = lookup_inline(shared, &req) {
+        return submit_response(key, false, render_ok(shared, &out));
+    }
+
+    let flight_key = flight_key(&key, &req.spec);
 
     // In-flight check and enqueue are one critical section so two
     // identical concurrent submissions can't both become primaries.
@@ -320,7 +396,7 @@ fn handle_submit(shared: &Shared, req: Box<SubmitReq>) -> Json {
                     .counters
                     .rejected_full
                     .fetch_add(1, Ordering::Relaxed);
-                ph_obs::current().count("svc.rejected_full", 1);
+                tracer.count("svc.rejected_full", 1);
                 return proto::rejected_response();
             }
             let flight = Arc::new(Flight::default());
@@ -335,29 +411,11 @@ fn handle_submit(shared: &Shared, req: Box<SubmitReq>) -> Json {
     };
     if deduped {
         shared.counters.dedup_hits.fetch_add(1, Ordering::Relaxed);
-        ph_obs::current().count("svc.dedup", 1);
+        tracer.count("svc.dedup", 1);
     } else {
         shared.queue_cv.notify_one();
     }
-
-    let mut resp = proto::ok_response()
-        .with("key", key)
-        .with("deduped", deduped);
-    match flight.wait() {
-        Ok((program, text, stats, cache_hit)) => {
-            resp.set("status", "done");
-            resp.set("cache_hit", cache_hit);
-            resp.set("program", program);
-            resp.set("program_text", text);
-            resp.set("stats", stats);
-        }
-        Err(e) => {
-            resp.set("status", "failed");
-            resp.set("ok", false);
-            resp.set("error", e);
-        }
-    }
-    resp
+    submit_response(key, deduped, flight.wait())
 }
 
 /// Dispatches one request.  The bool asks the connection handler to
@@ -411,6 +469,7 @@ pub const MAX_REQUEST_BYTES: u64 = 1 << 20;
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
+    let tracer = ph_obs::current();
     let mut reader = BufReader::new(stream);
     let mut line = Vec::new();
     loop {
@@ -431,7 +490,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         }
         let too_long = line.len() as u64 > MAX_REQUEST_BYTES;
         let (resp, drain) = if too_long {
-            ph_obs::current().count("svc.bad_request", 1);
+            tracer.count("svc.bad_request", 1);
             (proto::error_response("request line too long"), false)
         } else {
             let text = std::str::from_utf8(&line).map(str::trim);
@@ -439,21 +498,27 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
                 line.clear();
                 continue;
             }
-            let parsed = text
-                .map_err(|_| CodecError("request is not UTF-8".into()))
-                .and_then(proto::parse_request);
+            let parsed = {
+                let _span = tracer.span("svc.request.decode");
+                text.map_err(|_| CodecError("request is not UTF-8".into()))
+                    .and_then(proto::parse_request)
+            };
             match parsed {
                 Ok(req) => handle_request(shared, req),
                 Err(e) => {
-                    ph_obs::current().count("svc.bad_request", 1);
+                    tracer.count("svc.bad_request", 1);
                     (proto::error_response(&e.to_string()), false)
                 }
             }
         };
         line.clear();
-        let mut reply = resp.to_string();
-        reply.push('\n');
-        if reader.get_mut().write_all(reply.as_bytes()).is_err() || too_long {
+        let written = {
+            let _span = tracer.span("svc.reply.write");
+            let mut reply = resp.to_string();
+            reply.push('\n');
+            reader.get_mut().write_all(reply.as_bytes())
+        };
+        if written.is_err() || too_long {
             break;
         }
         if drain {

@@ -1,16 +1,18 @@
 //! End-to-end daemon tests over real loopback TCP: cache replay through
-//! the service, deterministic single-flight dedup (and its refusal to
-//! merge alpha-variants), queue-full backpressure, the request-line cap,
-//! round trips free of Nagle stalls, and graceful drain waking the
+//! the service, cache hits answered past busy workers and a full queue,
+//! deterministic single-flight dedup (and its refusal to merge
+//! alpha-variants), queue-full backpressure, the request- and reply-line
+//! caps, round trips free of Nagle stalls, and graceful drain waking the
 //! blocked accept.
 
-use ph_core::{CacheHook, OptConfig, SynthCache, SynthOutput, SynthParams};
+use ph_core::{CacheHook, OptConfig, SynthCache, SynthOutput, SynthParams, Synthesizer};
 use ph_hw::DeviceProfile;
 use ph_ir::ParserSpec;
 use ph_obs::Json;
+use ph_svc::client::MAX_REPLY_BYTES;
 use ph_svc::{Client, ClientError, DiskCache, Server, ServerConfig, ShutdownHandle, SubmitOutcome};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -133,9 +135,12 @@ fn second_submit_replays_from_cache_byte_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A cache whose lookup parks the worker until the test releases it —
-/// turning "N identical submissions while one is in flight" into a
-/// deterministic schedule instead of a timing race.
+/// A cache that always misses and whose store parks the worker until the
+/// test releases it — turning "N identical submissions while one is in
+/// flight" into a deterministic schedule instead of a timing race.  The
+/// store runs on the worker after synthesis, before the job leaves the
+/// in-flight table; lookups also run on the connection threads, so they
+/// cannot serve as the gate.
 struct GateCache {
     entered: Barrier,
     release: Barrier,
@@ -152,8 +157,6 @@ impl SynthCache for GateCache {
         _params: &SynthParams,
     ) -> Option<SynthOutput> {
         self.lookups.fetch_add(1, Ordering::SeqCst);
-        self.entered.wait();
-        self.release.wait();
         None
     }
 
@@ -166,6 +169,8 @@ impl SynthCache for GateCache {
         _out: &SynthOutput,
     ) {
         self.stores.fetch_add(1, Ordering::SeqCst);
+        self.entered.wait();
+        self.release.wait();
     }
 }
 
@@ -187,9 +192,9 @@ fn identical_concurrent_submissions_synthesize_exactly_once() {
     let spec = tiny_spec(7);
     let mut client = Client::connect(&addr).unwrap();
 
-    // Primary: enqueued, then the worker parks inside the cache lookup.
+    // Primary: enqueued, then the worker parks inside the cache store.
     let primary = submit_in_background(&addr, &spec);
-    gate.entered.wait(); // the worker is now provably mid-synthesis
+    gate.entered.wait(); // the worker is now provably mid-job
 
     // Identical submissions while it runs: all become followers.
     let followers: Vec<_> = (0..DUPES)
@@ -214,7 +219,12 @@ fn identical_concurrent_submissions_synthesize_exactly_once() {
         Some(DUPES as i64)
     );
     assert_eq!(stats.get("completed").and_then(Json::as_i64), Some(1));
-    assert_eq!(gate.lookups.load(Ordering::SeqCst), 1, "one lookup");
+    // One inline lookup per submission, plus the one worker's.
+    assert_eq!(
+        gate.lookups.load(Ordering::SeqCst),
+        1 + DUPES + 1,
+        "one lookup per submission and one for the synthesis"
+    );
     assert_eq!(
         gate.stores.load(Ordering::SeqCst),
         1,
@@ -225,16 +235,28 @@ fn identical_concurrent_submissions_synthesize_exactly_once() {
     assert!(join.join().unwrap().is_ok());
 }
 
-/// A disk cache whose first lookup parks the worker until the test
-/// releases it; later lookups and all stores go straight to the disk.
-struct FirstLookupGate {
+/// A disk cache whose first store parks the worker, before anything
+/// reaches the disk, until the test releases it; lookups and later stores
+/// go straight to the disk.
+struct FirstStoreGate {
     inner: DiskCache,
     entered: Barrier,
     release: Barrier,
-    lookups: AtomicUsize,
+    stores: AtomicUsize,
 }
 
-impl SynthCache for FirstLookupGate {
+impl FirstStoreGate {
+    fn new(dir: &std::path::Path) -> FirstStoreGate {
+        FirstStoreGate {
+            inner: DiskCache::new(dir),
+            entered: Barrier::new(2),
+            release: Barrier::new(2),
+            stores: AtomicUsize::new(0),
+        }
+    }
+}
+
+impl SynthCache for FirstStoreGate {
     fn lookup(
         &self,
         spec: &ParserSpec,
@@ -242,10 +264,6 @@ impl SynthCache for FirstLookupGate {
         opts: OptConfig,
         params: &SynthParams,
     ) -> Option<SynthOutput> {
-        if self.lookups.fetch_add(1, Ordering::SeqCst) == 0 {
-            self.entered.wait();
-            self.release.wait();
-        }
         self.inner.lookup(spec, device, opts, params)
     }
 
@@ -257,6 +275,10 @@ impl SynthCache for FirstLookupGate {
         params: &SynthParams,
         out: &SynthOutput,
     ) {
+        if self.stores.fetch_add(1, Ordering::SeqCst) == 0 {
+            self.entered.wait();
+            self.release.wait();
+        }
         self.inner.store(spec, device, opts, params, out);
     }
 }
@@ -286,12 +308,7 @@ fn two_header_spec(headers: &str) -> ParserSpec {
 #[test]
 fn alpha_variants_in_flight_get_programs_in_their_own_field_numbering() {
     let dir = tmp_dir("alpha");
-    let gate = Arc::new(FirstLookupGate {
-        inner: DiskCache::new(&dir),
-        entered: Barrier::new(2),
-        release: Barrier::new(2),
-        lookups: AtomicUsize::new(0),
-    });
+    let gate = Arc::new(FirstStoreGate::new(&dir));
     let (addr, handle, join) = start(ServerConfig {
         workers: 1,
         queue_cap: 8,
@@ -312,8 +329,9 @@ fn alpha_variants_in_flight_get_programs_in_their_own_field_numbering() {
 
     let mut client = Client::connect(&addr).unwrap();
 
-    // The primary parks in its cache lookup; both variants arrive while
-    // it is provably in flight, and neither follows it.
+    // The primary parks in its cache store, before its entry reaches the
+    // disk; both variants arrive while it is provably in flight, miss the
+    // cache and neither follows it.
     let mut jobs = vec![(submit_in_background(&addr, &primary), &primary)];
     gate.entered.wait();
     jobs.push((submit_in_background(&addr, &swapped), &swapped));
@@ -351,7 +369,7 @@ fn full_queue_rejects_explicitly_instead_of_hanging() {
     });
     let mut client = Client::connect(&addr).unwrap();
 
-    // Job 1 occupies the single worker (parked in the gated lookup);
+    // Job 1 occupies the single worker (parked in the gated store);
     // job 2 (a *different* spec, so no dedup) fills the 1-slot queue.
     let first = submit_in_background(&addr, &tiny_spec(1));
     gate.entered.wait();
@@ -385,6 +403,71 @@ fn full_queue_rejects_explicitly_instead_of_hanging() {
 
     handle.shutdown();
     assert!(join.join().unwrap().is_ok());
+}
+
+/// A cache hit is answered on its connection thread: it neither waits
+/// behind a synthesis occupying the only worker nor is rejected by a full
+/// queue.
+#[test]
+fn cache_hits_bypass_busy_workers_and_a_full_queue() {
+    let dir = tmp_dir("bypass");
+    let dev = DeviceProfile::tofino();
+    let cached = tiny_spec(10);
+    Synthesizer::new(dev.clone(), OptConfig::all())
+        .with_params(SynthParams {
+            cache: Some(CacheHook(Arc::new(DiskCache::new(&dir)))),
+            ..SynthParams::default()
+        })
+        .synthesize(&cached)
+        .unwrap();
+
+    let gate = Arc::new(FirstStoreGate::new(&dir));
+    let (addr, handle, join) = start(ServerConfig {
+        workers: 1,
+        queue_cap: 1,
+        cache: Some(CacheHook(gate.clone())),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(&addr).unwrap();
+
+    // A cold spec parks the only worker in its store; a second fills the
+    // queue; a third is rejected.
+    let busy = submit_in_background(&addr, &tiny_spec(11));
+    gate.entered.wait();
+    let queued = submit_in_background(&addr, &tiny_spec(12));
+    await_stat(&mut client, "queue_len", 1);
+    match client.submit_wait(&tiny_spec(13), &dev, OptConfig::all(), None) {
+        Err(ClientError::Daemon { rejected: true, .. }) => {}
+        other => panic!("expected a queue-full rejection, got {other:?}"),
+    }
+
+    // The cached spec is answered while the worker is still parked.
+    let (tx, rx) = mpsc::channel();
+    let hit_addr = addr.clone();
+    let hitter = std::thread::spawn(move || {
+        let reply = Client::connect(&hit_addr).and_then(|mut c| {
+            c.submit_wait(&cached, &DeviceProfile::tofino(), OptConfig::all(), None)
+        });
+        let _ = tx.send(reply);
+    });
+    let hit = rx
+        .recv_timeout(Duration::from_secs(1))
+        .expect("a cache hit must not wait on the parked worker")
+        .expect("a cache hit must not be rejected by the full queue");
+    hitter.join().unwrap();
+    assert!(hit.cache_hit);
+    assert!(!hit.deduped);
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.get("cache_hits").and_then(Json::as_i64), Some(1));
+    assert_eq!(stats.get("queue_len").and_then(Json::as_i64), Some(1));
+    assert_eq!(stats.get("rejected_full").and_then(Json::as_i64), Some(1));
+
+    gate.release.wait();
+    busy.join().unwrap().unwrap();
+    queued.join().unwrap().unwrap();
+    handle.shutdown();
+    assert!(join.join().unwrap().is_ok());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A request line may not grow without bound: an unterminated line past
@@ -430,6 +513,32 @@ fn overlong_request_line_is_refused_and_the_daemon_keeps_serving() {
 
     handle.shutdown();
     assert!(join.join().unwrap().is_ok());
+}
+
+/// Nor may a reply line: a peer that streams twice the cap with no
+/// newline gets a protocol error, not an ever-growing buffer.
+#[test]
+fn overlong_reply_line_is_a_protocol_error() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut request = String::new();
+        BufReader::new(&stream).read_line(&mut request).unwrap();
+        let chunk = vec![b' '; 64 << 10];
+        let mut sent = 0u64;
+        // The client closes once it has read past the cap, so a write may
+        // fail before all of it is sent.
+        while sent < 2 * MAX_REPLY_BYTES && stream.write_all(&chunk).is_ok() {
+            sent += chunk.len() as u64;
+        }
+    });
+    let mut client = Client::connect(&addr).unwrap();
+    match client.ping() {
+        Err(ClientError::Protocol(m)) => assert!(m.contains("longer than"), "{m}"),
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    peer.join().unwrap();
 }
 
 #[test]
