@@ -6,9 +6,16 @@
 //! trace_prof trace.jsonl --top 30
 //! trace_prof trace.jsonl --json         # + write results/profile.json
 //! trace_prof trace.jsonl --folded out.folded   # inferno folded stacks
-//! trace_prof trace.jsonl --min-coverage 99     # gate: exit 1 when the
-//!                                       # cegis phase coverage is lower
+//! trace_prof trace.jsonl --min-coverage 99     # gate: exit 1 when a
+//!                                       # coverage below is lower
 //! ```
+//!
+//! `--min-coverage PCT` gates two shares.  The CEGIS phase coverage (the
+//! share of `cegis.run` time in its synth/verify/shrink spans) is always
+//! checked, and a trace without `cegis.run` fails.  When the trace holds
+//! `svc.op.submit` spans (a traced `phd`), the share of their time spent
+//! in instrumented child spans (`svc.key`, `cache.lookup`,
+//! `svc.reply.render`, `svc.flight.wait`) is checked too.
 //!
 //! The profile reports per-name call counts, total vs self time and
 //! duration percentiles, the per-CEGIS-iteration synth/verify/shrink
@@ -128,6 +135,17 @@ fn main() -> ExitCode {
             failed = true;
         } else {
             eprintln!("trace_prof: cegis phase coverage {cov:.2}% (>= {min:.2}%)");
+        }
+        if let Some(cov) = profile.child_coverage_pct("svc.op.submit") {
+            if cov < min {
+                eprintln!(
+                    "trace_prof: svc.op.submit child-span coverage {cov:.2}% is below the \
+                     required {min:.2}%"
+                );
+                failed = true;
+            } else {
+                eprintln!("trace_prof: svc.op.submit child-span coverage {cov:.2}% (>= {min:.2}%)");
+            }
         }
     }
     if failed {

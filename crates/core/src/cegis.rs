@@ -722,9 +722,14 @@ fn finish_or_timeout(
     };
     let mut program = skeleton::to_program(shape, &conc, device);
     post::optimize(&mut program, device, &orig_spec.fields);
-    validate::check_program_against_spec(orig_spec, &program, params.seed, 400)
-        .map_err(SynthError::ValidationFailed)?;
+    let tracer = ph_obs::current();
+    {
+        let _span = tracer.span("synth.validate");
+        validate::check_program_against_spec(orig_spec, &program, params.seed, 400)
+            .map_err(SynthError::ValidationFailed)?;
+    }
     if params.e2e_samples > 0 {
+        let _span = tracer.span("synth.fuzz_e2e");
         crate::fuzz::check_e2e(orig_spec, &program, params.seed, params.e2e_samples).map_err(
             |d| SynthError::ValidationFailed(format!("fuzz oracle divergence: {}", d.to_json())),
         )?;

@@ -42,8 +42,10 @@ pub mod specenc;
 pub mod validate;
 
 use ph_hw::{DeviceProfile, TcamProgram};
+use ph_ir::canon::Canon;
 use ph_ir::ParserSpec;
 use ph_sat::SolverStats;
+use std::cell::OnceCell;
 use std::fmt;
 use std::time::Duration;
 
@@ -122,24 +124,35 @@ impl OptConfig {
 ///
 /// [`Synthesizer::synthesize`] consults the cache after spec validation
 /// and before any solver work; on a miss it stores successful outputs.
-/// Implementations derive their own keys from the full
-/// `(spec, device, opts, params)` context and MUST return outputs that
-/// are byte-identical to what a fresh run would have produced for the
-/// *same* spec instance (field ids in the returned program index the
-/// querying spec's field table).
+/// Both calls take one [`CacheQuery`], which canonicalizes the spec once
+/// and memoizes the implementation's content key, so a lookup and its
+/// store (or a daemon's reply key and its lookup) share that work.
+/// Implementations derive their keys from the query's full
+/// `(canonical spec, device, opts, params)` context and MUST return
+/// outputs that are byte-identical to what a fresh run would have
+/// produced for the *same* spec instance (field ids in the returned
+/// program index the querying spec's field table).
 pub trait SynthCache: Send + Sync {
-    /// Returns the cached output for this synthesis context, or `None`.
+    /// Returns the cached output for this query, or `None`.
+    fn lookup_query(&self, query: &CacheQuery<'_>) -> Option<SynthOutput>;
+
+    /// Records a freshly synthesized output.  Failures are the
+    /// implementation's to swallow — a broken cache must never fail a
+    /// synthesis run that already succeeded.
+    fn store_query(&self, query: &CacheQuery<'_>, out: &SynthOutput);
+
+    /// [`SynthCache::lookup_query`] on a fresh query.
     fn lookup(
         &self,
         spec: &ParserSpec,
         device: &DeviceProfile,
         opts: OptConfig,
         params: &SynthParams,
-    ) -> Option<SynthOutput>;
+    ) -> Option<SynthOutput> {
+        self.lookup_query(&CacheQuery::new(spec, device, opts, params))
+    }
 
-    /// Records a freshly synthesized output.  Failures are the
-    /// implementation's to swallow — a broken cache must never fail a
-    /// synthesis run that already succeeded.
+    /// [`SynthCache::store_query`] on a fresh query.
     fn store(
         &self,
         spec: &ParserSpec,
@@ -147,7 +160,54 @@ pub trait SynthCache: Send + Sync {
         opts: OptConfig,
         params: &SynthParams,
         out: &SynthOutput,
-    );
+    ) {
+        self.store_query(&CacheQuery::new(spec, device, opts, params), out)
+    }
+}
+
+/// One question to a [`SynthCache`]: a spec, its canonical form and the
+/// synthesis context.  Building it canonicalizes the spec (the
+/// `ir.canon` span); the content key is derived on first use and kept.
+#[derive(Debug)]
+pub struct CacheQuery<'a> {
+    /// The querying spec (its field numbering is the one outputs use).
+    pub spec: &'a ParserSpec,
+    /// `spec` canonicalized: the key's input and the field remapping.
+    pub canon: Canon,
+    /// The target device.
+    pub device: &'a DeviceProfile,
+    /// The optimization configuration.
+    pub opts: OptConfig,
+    /// The run parameters.
+    pub params: &'a SynthParams,
+    key: OnceCell<String>,
+}
+
+impl<'a> CacheQuery<'a> {
+    /// Canonicalizes `spec` and wraps the context.
+    pub fn new(
+        spec: &'a ParserSpec,
+        device: &'a DeviceProfile,
+        opts: OptConfig,
+        params: &'a SynthParams,
+    ) -> CacheQuery<'a> {
+        CacheQuery {
+            spec,
+            canon: ph_ir::canon::canonicalize(spec),
+            device,
+            opts,
+            params,
+            key: OnceCell::new(),
+        }
+    }
+
+    /// The query's content key: `derive` computes it on the first call,
+    /// later calls return the kept value.  One cache implementation
+    /// derives the key of a query, so every caller passes the same
+    /// function.
+    pub fn key_with(&self, derive: impl FnOnce(&CacheQuery<'a>) -> String) -> &str {
+        self.key.get_or_init(|| derive(self))
+    }
 }
 
 /// A cloneable [`SynthCache`] handle for [`SynthParams::cache`].
@@ -390,19 +450,26 @@ impl Synthesizer {
         let _span = tracer.span("synth.total");
         spec.validate()
             .map_err(|e| SynthError::Unsupported(e.to_string()))?;
-        if let Some(hook) = &self.params.cache {
-            let hit = {
-                let _s = tracer.span("cache.lookup");
-                hook.0.lookup(spec, &self.device, self.opts, &self.params)
-            };
-            if let Some(mut out) = hit {
-                tracer.count("svc.cache.hit", 1);
-                out.stats.cache_hits = 1;
-                out.stats.cache_misses = 0;
-                return Ok(out);
+        // One query serves the lookup and, on a miss, the store.
+        let query = match &self.params.cache {
+            Some(hook) => {
+                let (query, hit) = {
+                    let _s = tracer.span("cache.lookup");
+                    let query = CacheQuery::new(spec, &self.device, self.opts, &self.params);
+                    let hit = hook.0.lookup_query(&query);
+                    (query, hit)
+                };
+                if let Some(mut out) = hit {
+                    tracer.count("svc.cache.hit", 1);
+                    out.stats.cache_hits = 1;
+                    out.stats.cache_misses = 0;
+                    return Ok(out);
+                }
+                tracer.count("svc.cache.miss", 1);
+                Some((hook, query))
             }
-            tracer.count("svc.cache.miss", 1);
-        }
+            None => None,
+        };
         let mut result = if self.opts.opt7_parallel {
             parallel::synthesize_racing(spec, &self.device, self.opts, &self.params)
         } else {
@@ -415,13 +482,10 @@ impl Synthesizer {
                 None,
             )
         };
-        if let Some(hook) = &self.params.cache {
-            if let Ok(out) = &mut result {
-                out.stats.cache_misses = 1;
-                let _s = tracer.span("cache.store");
-                hook.0
-                    .store(spec, &self.device, self.opts, &self.params, out);
-            }
+        if let (Some((hook, query)), Ok(out)) = (&query, &mut result) {
+            out.stats.cache_misses = 1;
+            let _s = tracer.span("cache.store");
+            hook.0.store_query(query, out);
         }
         result
     }

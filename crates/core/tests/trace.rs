@@ -265,3 +265,59 @@ fn memory_sink_sees_pipeline_counters() {
         "bit-blasting gauge missing; saw {gauges:?}"
     );
 }
+
+#[test]
+fn solver_calls_and_final_checks_are_named_spans() {
+    let spec = ph_p4f::parse_parser(fig7_src()).unwrap();
+    let sink = Arc::new(MemorySink::default());
+    Synthesizer::new(
+        DeviceProfile::tofino(),
+        OptConfig {
+            opt7_parallel: false,
+            ..OptConfig::all()
+        },
+    )
+    .with_params(SynthParams {
+        timeout: Some(Duration::from_secs(60)),
+        tracer: Some(Tracer::new(sink.clone())),
+        e2e_samples: 64,
+        ..Default::default()
+    })
+    .synthesize(&spec)
+    .expect("fig7 synthesizes");
+    let entered: Vec<(String, u64, Option<u64>)> = sink
+        .events()
+        .into_iter()
+        .filter_map(|e| match e {
+            OwnedEvent::Enter { name, id, parent } => Some((name, id, parent)),
+            _ => None,
+        })
+        .collect();
+    let name_of = |id: Option<u64>| {
+        entered
+            .iter()
+            .find(|(_, i, _)| Some(*i) == id)
+            .map(|(n, ..)| n.as_str())
+    };
+    let parents = |child: &str| -> Vec<Option<&str>> {
+        entered
+            .iter()
+            .filter(|(n, ..)| n == child)
+            .map(|(_, _, p)| name_of(*p))
+            .collect()
+    };
+    // Every solver call splits into bit-blasting and the SAT search.
+    let checks = parents("smt.check").len();
+    assert!(checks > 0);
+    for child in ["smt.blast", "sat.solve"] {
+        let ps = parents(child);
+        assert_eq!(ps.len(), checks, "one {child} per smt.check");
+        assert!(
+            ps.iter().all(|p| *p == Some("smt.check")),
+            "{child}: {ps:?}"
+        );
+    }
+    // The winning program is validated, then fuzzed end to end, once.
+    assert_eq!(parents("synth.validate").len(), 1);
+    assert_eq!(parents("synth.fuzz_e2e").len(), 1);
+}

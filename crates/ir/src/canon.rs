@@ -61,6 +61,7 @@ impl Canon {
 /// out-of-range indices in an unvalidated spec are tolerated and simply
 /// left unmapped.
 pub fn canonicalize(spec: &ParserSpec) -> Canon {
+    let _span = ph_obs::current().span("ir.canon");
     // --- canonical state order: BFS from start ---------------------------
     let n_states = spec.states.len();
     let mut state_map: Vec<Option<usize>> = vec![None; n_states];

@@ -6,7 +6,7 @@
 //! runs) and distinguishes integers from floats so counters and nanosecond
 //! timestamps round-trip exactly.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -160,6 +160,44 @@ impl Json {
         Ok(v)
     }
 
+    /// Appends the compact JSON text of `self` to `out`: the one writer
+    /// behind [`Display`](fmt::Display) and [`Json::to_pretty`].  Its
+    /// string half, [`write_str`], also writes the trace sink's names and
+    /// messages.
+    pub fn write_to(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Int(v) => {
+                let _ = write!(out, "{v}");
+            }
+            Json::Float(v) => write_float(out, *v),
+            Json::Str(s) => write_str(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, v) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    v.write_to(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(fields) => {
+                out.push('{');
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_str(out, k);
+                    out.push(':');
+                    v.write_to(out);
+                }
+                out.push('}');
+            }
+        }
+    }
+
     /// Pretty-prints with two-space indentation and a trailing newline.
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
@@ -192,7 +230,8 @@ impl Json {
                 out.push_str("{\n");
                 for (i, (k, v)) in fields.iter().enumerate() {
                     pad(out, depth + 1);
-                    out.push_str(&format!("{}: ", Json::Str(k.clone())));
+                    write_str(out, k);
+                    out.push_str(": ");
                     v.pretty_into(out, depth + 1);
                     if i + 1 < fields.len() {
                         out.push(',');
@@ -202,8 +241,55 @@ impl Json {
                 pad(out, depth);
                 out.push('}');
             }
-            other => out.push_str(&other.to_string()),
+            other => other.write_to(out),
         }
+    }
+}
+
+/// Appends `s` as a JSON string literal.  Runs of bytes that need no
+/// escaping are copied with one `push_str`; only `"`, `\` and control
+/// characters are escaped, so non-ASCII text passes through as UTF-8.
+pub fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `run..i` is a char boundary.
+        out.push_str(&s[run..i]);
+        if esc.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(esc);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Appends a float so that it re-parses as the same float: integral
+/// values keep a decimal marker (`3.0`), or an exponent from 1e15 up,
+/// where `{}` would print every digit and the text would come back as an
+/// integer.  Non-finite values, which JSON cannot express, print as
+/// `null`.
+fn write_float(out: &mut String, v: f64) {
+    if !v.is_finite() {
+        out.push_str("null");
+    } else if v.fract() != 0.0 {
+        let _ = write!(out, "{v}");
+    } else if v.abs() < 1e15 {
+        let _ = write!(out, "{v:.1}");
+    } else {
+        let _ = write!(out, "{v:e}");
     }
 }
 
@@ -245,58 +331,9 @@ impl From<String> for Json {
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => write!(f, "null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Int(v) => write!(f, "{v}"),
-            Json::Float(v) => {
-                if v.is_finite() {
-                    // Keep a decimal marker so the value re-parses as float.
-                    if v.fract() == 0.0 && v.abs() < 1e15 {
-                        write!(f, "{v:.1}")
-                    } else {
-                        write!(f, "{v}")
-                    }
-                } else {
-                    write!(f, "null") // JSON has no Inf/NaN
-                }
-            }
-            Json::Str(s) => {
-                f.write_str("\"")?;
-                for c in s.chars() {
-                    match c {
-                        '"' => f.write_str("\\\"")?,
-                        '\\' => f.write_str("\\\\")?,
-                        '\n' => f.write_str("\\n")?,
-                        '\r' => f.write_str("\\r")?,
-                        '\t' => f.write_str("\\t")?,
-                        c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-                        c => write!(f, "{c}")?,
-                    }
-                }
-                f.write_str("\"")
-            }
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(fields) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{}:{v}", Json::Str(k.clone()))?;
-                }
-                f.write_str("}")
-            }
-        }
+        let mut out = String::new();
+        self.write_to(&mut out);
+        f.write_str(&out)
     }
 }
 
@@ -477,16 +514,30 @@ impl<'a> Parser<'a> {
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
                         b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed by our own
-                            // output; map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
+                            let hi = self.hex4()?;
+                            // A high surrogate followed by an escaped low
+                            // one is a pair (how `json.dumps` writes text
+                            // beyond the BMP); a lone half is U+FFFD.
+                            let lo = if (0xd800..0xdc00).contains(&hi)
+                                && self.bytes[self.pos..].starts_with(b"\\u")
+                            {
+                                let save = self.pos;
+                                self.pos += 2;
+                                match self.hex4()? {
+                                    lo @ 0xdc00..=0xdfff => Some(lo),
+                                    _ => {
+                                        self.pos = save;
+                                        None
+                                    }
+                                }
+                            } else {
+                                None
+                            };
+                            let c = match lo {
+                                Some(lo) => 0x10000 + ((hi - 0xd800) << 10) + (lo - 0xdc00),
+                                None => hi,
+                            };
+                            out.push(char::from_u32(c).unwrap_or('\u{fffd}'));
                         }
                         _ => return Err(self.err("unknown escape")),
                     }
@@ -494,6 +545,20 @@ impl<'a> Parser<'a> {
                 _ => return Err(self.err("unterminated string")),
             }
         }
+    }
+
+    /// Reads the four hex digits of a `\\u` escape.
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        // `from_str_radix` alone would take a sign (`\u+123`).
+        let v = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+            .and_then(|h| std::str::from_utf8(h).ok())
+            .and_then(|h| u32::from_str_radix(h, 16).ok())
+            .ok_or_else(|| self.err("bad \\u escape"))?;
+        self.pos += 4;
+        Ok(v)
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -523,19 +588,17 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        if float {
-            text.parse::<f64>()
-                .map(Json::Float)
-                .map_err(|_| self.err("bad number"))
-        } else {
-            // Integers that overflow i64 fall back to float.
-            match text.parse::<i64>() {
-                Ok(v) => Ok(Json::Int(v)),
-                Err(_) => text
-                    .parse::<f64>()
-                    .map(Json::Float)
-                    .map_err(|_| self.err("bad number")),
+        if !float {
+            if let Ok(v) = text.parse::<i64>() {
+                return Ok(Json::Int(v));
             }
+            // Integers that overflow i64 fall back to float.
+        }
+        // A float beyond `f64`'s range would print back as `null`.
+        match text.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Json::Float(v)),
+            Ok(_) => Err(self.err("number out of range")),
+            Err(_) => Err(self.err("bad number")),
         }
     }
 }
@@ -562,6 +625,64 @@ mod tests {
     fn escapes_roundtrip() {
         let v = Json::Str("a\"b\\c\nd\te\u{1}".into());
         assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn floats_reparse_as_the_same_float() {
+        for v in [
+            0.0,
+            -0.0,
+            3.0,
+            -2.5,
+            0.1,
+            1e-30,
+            999_999_999_999_999.0,
+            1e15,
+            -4e18,
+            1e300,
+        ] {
+            let text = Json::Float(v).to_string();
+            assert_eq!(
+                Json::parse(&text),
+                Ok(Json::Float(v)),
+                "{v} printed as {text}"
+            );
+        }
+        assert_eq!(Json::Float(3.0).to_string(), "3.0");
+        assert_eq!(Json::Float(1e15).to_string(), "1e15");
+        assert_eq!(Json::Float(f64::NAN).to_string(), "null");
+        // Numbers beyond f64's range are refused, not read as infinity.
+        assert!(Json::parse("1e999").is_err());
+        assert!(Json::parse(&"9".repeat(400)).is_err());
+        assert_eq!(Json::parse("1e308").unwrap().as_f64(), Some(1e308));
+        assert_eq!(
+            Json::parse("18446744073709551616"),
+            Ok(Json::Float(18446744073709551616.0))
+        );
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_char() {
+        // Python's `json.dumps("😀")` writes the UTF-16 pair.
+        let v = Json::parse(r#""\ud83d\ude00 caf\u00e9""#).unwrap();
+        assert_eq!(v.as_str(), Some("\u{1F600} caf\u{e9}"));
+        // Uppercase hex digits are the same pair.
+        assert_eq!(
+            Json::parse(r#""\uD83D\uDE00""#).unwrap().as_str(),
+            Some("😀")
+        );
+        // Lone halves stay U+FFFD, and whatever follows still decodes.
+        for (text, want) in [
+            (r#""\ud83d""#, "\u{fffd}"),
+            (r#""\ude00x""#, "\u{fffd}x"),
+            (r#""\ud83dx""#, "\u{fffd}x"),
+            (r#""\ud83d\u0041""#, "\u{fffd}A"),
+            (r#""\ud83d\ud83d\ude00""#, "\u{fffd}😀"),
+        ] {
+            assert_eq!(Json::parse(text).unwrap().as_str(), Some(want), "{text}");
+        }
+        assert!(Json::parse(r#""\ud83d\uzzzz""#).is_err());
+        assert!(Json::parse(r#""\u+123""#).is_err());
     }
 
     #[test]

@@ -168,6 +168,17 @@ impl Profile {
         out
     }
 
+    /// Share of span `name`'s total time spent in its instrumented
+    /// children — `100 * (total - self) / total` — or `None` when the
+    /// trace holds no completed `name` span.
+    pub fn child_coverage_pct(&self, name: &str) -> Option<f64> {
+        let st = self.spans.get(name).filter(|st| st.calls > 0)?;
+        if st.total_ns == 0 {
+            return Some(100.0);
+        }
+        Some(100.0 * (st.total_ns - st.self_ns) as f64 / st.total_ns as f64)
+    }
+
     /// A human-readable top-`n` report (by self time), with the CEGIS
     /// breakdown and counters appended.
     pub fn render(&self, n: usize) -> String {
@@ -658,6 +669,15 @@ mod tests {
         assert_eq!(p.counters["widgets"], 5);
         assert_eq!(p.records["conflicts"].count(), 1);
         assert_eq!(p.records["conflicts"].max(), 17);
+    }
+
+    #[test]
+    fn child_coverage_is_the_share_outside_self_time() {
+        let p = profile_str(&golden());
+        assert_eq!(p.child_coverage_pct("a"), Some(70.0));
+        assert_eq!(p.child_coverage_pct("b"), Some(100.0 * 100.0 / 700.0));
+        assert_eq!(p.child_coverage_pct("c"), Some(0.0));
+        assert_eq!(p.child_coverage_pct("svc.op.submit"), None);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! stream has monotone non-decreasing `t_ns` values even when several
 //! threads (Opt7 race branches) share one sink.
 
+use crate::json::write_str;
 use crate::{Event, EventKind, Level};
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -74,12 +75,6 @@ impl JsonlSink {
     }
 }
 
-/// Writes a JSON string literal without allocating a `Json` value.
-fn write_json_str(line: &mut String, s: &str) {
-    use std::fmt::Write as _;
-    let _ = write!(line, "{}", crate::json::Json::Str(s.to_string()));
-}
-
 impl Sink for JsonlSink {
     fn emit(&self, ev: &Event<'_>) {
         use std::fmt::Write as _;
@@ -92,12 +87,12 @@ impl Sink for JsonlSink {
         let _ = write!(line, "{{\"t_ns\":{t_ns}");
         if let Some(b) = ev.branch {
             line.push_str(",\"branch\":");
-            write_json_str(&mut line, b);
+            write_str(&mut line, b);
         }
         match ev.kind {
             EventKind::SpanEnter { name, id, parent } => {
                 line.push_str(",\"ev\":\"enter\",\"span\":");
-                write_json_str(&mut line, name);
+                write_str(&mut line, name);
                 let _ = write!(line, ",\"id\":{id}");
                 if let Some(p) = parent {
                     let _ = write!(line, ",\"parent\":{p}");
@@ -105,31 +100,31 @@ impl Sink for JsonlSink {
             }
             EventKind::SpanExit { name, id, dur_ns } => {
                 line.push_str(",\"ev\":\"exit\",\"span\":");
-                write_json_str(&mut line, name);
+                write_str(&mut line, name);
                 let _ = write!(line, ",\"id\":{id},\"dur_ns\":{dur_ns}");
             }
             EventKind::Counter { name, delta } => {
                 line.push_str(",\"ev\":\"count\",\"name\":");
-                write_json_str(&mut line, name);
+                write_str(&mut line, name);
                 let _ = write!(line, ",\"delta\":{delta}");
             }
             EventKind::Gauge { name, value } => {
                 line.push_str(",\"ev\":\"gauge\",\"name\":");
-                write_json_str(&mut line, name);
+                write_str(&mut line, name);
                 let _ = write!(line, ",\"value\":{value}");
             }
             EventKind::Message { level, text } => {
                 let _ = write!(line, ",\"ev\":\"msg\",\"level\":\"{}\",\"text\":", level);
-                write_json_str(&mut line, text);
+                write_str(&mut line, text);
             }
             EventKind::Record { name, value } => {
                 line.push_str(",\"ev\":\"record\",\"name\":");
-                write_json_str(&mut line, name);
+                write_str(&mut line, name);
                 let _ = write!(line, ",\"value\":{value}");
             }
             EventKind::Hist { name, hist } => {
                 line.push_str(",\"ev\":\"hist\",\"name\":");
-                write_json_str(&mut line, name);
+                write_str(&mut line, name);
                 let _ = write!(
                     line,
                     ",\"count\":{},\"min\":{},\"max\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{}",

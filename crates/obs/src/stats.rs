@@ -52,6 +52,31 @@ pub fn row<T: StatValue>(j: &Json, key: &str) -> Result<T, String> {
     }
 }
 
+/// Whether no two of `keys` are equal (the generated tables' compile-time
+/// check).
+#[doc(hidden)]
+pub const fn keys_distinct(keys: &[&str]) -> bool {
+    let mut i = 0;
+    while i < keys.len() {
+        let mut j = i + 1;
+        while j < keys.len() {
+            let (a, b) = (keys[i].as_bytes(), keys[j].as_bytes());
+            if a.len() == b.len() {
+                let mut k = 0;
+                while k < a.len() && a[k] == b[k] {
+                    k += 1;
+                }
+                if k == a.len() {
+                    return false;
+                }
+            }
+            j += 1;
+        }
+        i += 1;
+    }
+    true
+}
+
 macro_rules! integer_rows {
     ($($t:ty),*) => {$(
         impl StatValue for $t {
@@ -136,10 +161,14 @@ macro_rules! stats {
             /// The JSON keys, in encoding order.
             pub const KEYS: &'static [&'static str] = &[$($key),*];
 
-            /// The statistics as a JSON object, one key per row.
+            /// The statistics as a JSON object, one key per row.  The keys
+            /// are distinct (checked at compile time), so rows are pushed
+            /// without `Json::set`'s duplicate scan.
             #[allow(clippy::wrong_self_convention)] // `&self` for Copy and non-Copy tables alike
             pub fn to_json(&self) -> $crate::Json {
-                $crate::Json::obj() $( .with($key, $crate::StatValue::to_json(&self.$field)) )*
+                $crate::Json::Obj(vec![
+                    $( ($key.to_string(), $crate::StatValue::to_json(&self.$field)), )*
+                ])
             }
 
             /// Decodes [`Self::to_json`] output; every key must be present
@@ -172,6 +201,11 @@ macro_rules! stats {
                 )*
             }
         }
+
+        const _: () = assert!(
+            $crate::stats::keys_distinct($name::KEYS),
+            concat!("duplicate JSON key in stats table ", stringify!($name))
+        );
 
         impl $crate::StatValue for $name {
             fn to_json(&self) -> $crate::Json {
@@ -223,6 +257,14 @@ mod tests {
             inner: Inner { hits: 9, level: 2 },
             lat,
         }
+    }
+
+    #[test]
+    fn keys_distinct_finds_duplicates() {
+        assert!(super::keys_distinct(&[]));
+        assert!(super::keys_distinct(&["a", "ab", "b"]));
+        assert!(!super::keys_distinct(&["a", "ab", "a"]));
+        assert!(!super::keys_distinct(&["x", "y", "y"]));
     }
 
     #[test]

@@ -435,17 +435,24 @@ impl Smt {
         let _span = tracer.span("smt.check");
         let before = self.sat.stats();
         self.model_cache.clear();
-        let mut lits: Vec<_> = extra
-            .iter()
-            .map(|&t| {
-                assert_eq!(self.width(t), 1);
-                self.blaster.blast_bool(&self.terms, t, &mut self.sat)
-            })
-            .collect();
+        let mut lits: Vec<_> = {
+            let _span = tracer.span("smt.blast");
+            extra
+                .iter()
+                .map(|&t| {
+                    assert_eq!(self.width(t), 1);
+                    self.blaster.blast_bool(&self.terms, t, &mut self.sat)
+                })
+                .collect()
+        };
         // Open scopes activate their guarded clauses via their selectors.
         lits.extend(self.scopes.iter().copied());
         ph_sat::dump_cnf_if_requested(&self.sat, &lits);
-        let result = match self.sat.solve_with_assumptions(&lits) {
+        let solved = {
+            let _span = tracer.span("sat.solve");
+            self.sat.solve_with_assumptions(&lits)
+        };
+        let result = match solved {
             SolveResult::Sat => SmtResult::Sat,
             SolveResult::Unsat => SmtResult::Unsat,
             SolveResult::Unknown => SmtResult::Unknown,

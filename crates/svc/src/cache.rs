@@ -27,13 +27,20 @@
 //! with an `svc.cache.corrupt`/`svc.cache.stale` counter; it never panics
 //! and never fails the synthesis run.
 //!
+//! A lookup and a store take a [`CacheQuery`]: the spec canonicalized
+//! once, with its content key ([`DiskCache::query_key`]) derived once and
+//! kept, so a daemon's reply key, its lookup and a miss's store share one
+//! canonicalization.  The four- and five-argument
+//! [`SynthCache::lookup`]/[`SynthCache::store`] build the query
+//! themselves.
+//!
 //! The cache is bounded: after each store, entries are evicted
 //! least-recently-used (by file mtime; hits re-touch their entry) until
 //! the directory fits [`DiskCache::budget_bytes`].
 
 use crate::codec;
 use ph_bits::Sha256;
-use ph_core::{OptConfig, SynthCache, SynthOutput, SynthParams};
+use ph_core::{CacheQuery, OptConfig, SynthCache, SynthOutput, SynthParams};
 use ph_hw::DeviceProfile;
 use ph_ir::canon::{canonicalize, spec_fingerprint_text, Canon};
 use ph_ir::{FieldId, KeyPart, ParserSpec};
@@ -84,8 +91,8 @@ impl DiskCache {
 
     /// The content key for one synthesis context, as 64 hex digits.
     ///
-    /// Canonicalizes internally; prefer [`DiskCache::key_of_canon`] when
-    /// a [`Canon`] is already at hand.
+    /// Canonicalizes internally; prefer [`DiskCache::query_key`] when a
+    /// [`CacheQuery`] is at hand.
     pub fn key(
         spec: &ParserSpec,
         device: &DeviceProfile,
@@ -135,6 +142,13 @@ impl DiskCache {
             params.max_cegis_iters, params.max_loop_iters, params.spare_states, params.seed,
         );
         Sha256::digest_hex(pre.as_bytes())
+    }
+
+    /// [`DiskCache::key`] of a query, derived once and kept in the query,
+    /// so a caller that needs the key and the lookup it then makes share
+    /// one derivation.
+    pub fn query_key<'q>(query: &'q CacheQuery<'_>) -> &'q str {
+        query.key_with(|q| Self::key_of_canon(&q.canon.spec, q.device, q.opts, q.params))
     }
 
     /// The on-disk path for a key.
@@ -240,12 +254,14 @@ impl DiskCache {
         }
     }
 
-    /// Encodes an entry document (program in canonical coordinates).
+    /// Encodes an entry document (program in canonical coordinates),
+    /// stamped `created_unix` = `created`.
     fn encode_entry(
         key: &str,
         canon: &Canon,
         device: &DeviceProfile,
         out: &SynthOutput,
+        created: u64,
     ) -> Option<Json> {
         let mut program = out.program.clone();
         for state in &mut program.states {
@@ -260,10 +276,6 @@ impl DiskCache {
                 }
             }
         }
-        let created = SystemTime::now()
-            .duration_since(SystemTime::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
         Some(
             Json::obj()
                 .with("cache_version", i64::from(CACHE_FORMAT_VERSION))
@@ -301,21 +313,17 @@ impl DiskCache {
 }
 
 impl SynthCache for DiskCache {
-    fn lookup(
-        &self,
-        spec: &ParserSpec,
-        device: &DeviceProfile,
-        opts: OptConfig,
-        params: &SynthParams,
-    ) -> Option<SynthOutput> {
-        let canon = canonicalize(spec);
-        let key = Self::key_of_canon(&canon.spec, device, opts, params);
-        let path = self.entry_path(&key);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
+    fn lookup_query(&self, query: &CacheQuery<'_>) -> Option<SynthOutput> {
+        let key = Self::query_key(query);
+        let path = self.entry_path(key);
+        let bytes = match std::fs::read(&path) {
+            Ok(b) => b,
             Err(_) => return None, // plain miss
         };
-        match self.decode_entry(&text, &key, &canon, device) {
+        let decoded = std::str::from_utf8(&bytes)
+            .map_err(|_| "not UTF-8".to_string())
+            .and_then(|text| self.decode_entry(text, key, &query.canon, query.device));
+        match decoded {
             Ok(out) => {
                 Self::touch(&path);
                 Some(out)
@@ -332,23 +340,19 @@ impl SynthCache for DiskCache {
         }
     }
 
-    fn store(
-        &self,
-        spec: &ParserSpec,
-        device: &DeviceProfile,
-        opts: OptConfig,
-        params: &SynthParams,
-        out: &SynthOutput,
-    ) {
-        let canon = canonicalize(spec);
-        let key = Self::key_of_canon(&canon.spec, device, opts, params);
-        let Some(doc) = Self::encode_entry(&key, &canon, device, out) else {
+    fn store_query(&self, query: &CacheQuery<'_>, out: &SynthOutput) {
+        let key = Self::query_key(query);
+        let created = SystemTime::now()
+            .duration_since(SystemTime::UNIX_EPOCH)
+            .map(|d| d.as_secs())
+            .unwrap_or(0);
+        let Some(doc) = Self::encode_entry(key, &query.canon, query.device, out, created) else {
             // A program referencing fields outside the canonical image
             // cannot be shared soundly; skip rather than poison.
             ph_obs::current().count("svc.cache.unstorable", 1);
             return;
         };
-        match self.store_entry(&key, &doc) {
+        match self.store_entry(key, &doc) {
             Ok(()) => {
                 ph_obs::current().count("svc.cache.store", 1);
                 self.evict_to_budget();
@@ -419,6 +423,40 @@ mod tests {
         assert_eq!(warm.program, cold.program);
         assert_eq!(warm.program.to_string(), cold.program.to_string());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Entry documents written by the per-character JSON writer (see
+    /// `tests/golden.rs`): decoding one and encoding it again at the same
+    /// `created_unix` must give the same bytes.  Stats histograms decode
+    /// empty, so the stored stats object is carried over as parsed.
+    #[test]
+    fn entries_reencode_byte_identically() {
+        for (case, text) in [
+            (
+                "Parse Ethernet",
+                include_str!("../tests/golden/parse_ethernet.entry.json"),
+            ),
+            ("Sai V1", include_str!("../tests/golden/sai_v1.entry.json")),
+        ] {
+            let spec = ph_benchmarks::registry()
+                .into_iter()
+                .find(|c| c.name == case)
+                .unwrap()
+                .spec;
+            let device = DeviceProfile::tofino();
+            let params = SynthParams::default();
+            let query = CacheQuery::new(&spec, &device, OptConfig::all(), &params);
+            let key = DiskCache::query_key(&query);
+            let cache = DiskCache::new(tmp_dir("golden"));
+            let out = cache
+                .decode_entry(text, key, &query.canon, &device)
+                .unwrap();
+            let mut doc =
+                DiskCache::encode_entry(key, &query.canon, &device, &out, 1_700_000_000).unwrap();
+            let stored = Json::parse(text).unwrap();
+            doc.set("stats", stored.get("stats").unwrap().clone());
+            assert_eq!(doc.to_pretty(), text, "{case}");
+        }
     }
 
     #[test]

@@ -86,6 +86,9 @@ pub struct SubmitOutcome {
 /// Nagle's algorithm.
 pub struct Client {
     stream: BufReader<TcpStream>,
+    /// Each request line is rendered, newline included, into this one
+    /// buffer.
+    out: String,
 }
 
 impl Client {
@@ -99,6 +102,7 @@ impl Client {
         stream.set_nodelay(true)?;
         Ok(Client {
             stream: BufReader::new(stream),
+            out: String::new(),
         })
     }
 
@@ -111,9 +115,10 @@ impl Client {
     /// longer than [`MAX_REPLY_BYTES`] is a [`ClientError::Protocol`] and
     /// closes the connection.
     pub fn request(&mut self, req: &Json) -> Result<Json, ClientError> {
-        let mut out = req.to_string();
-        out.push('\n');
-        self.stream.get_mut().write_all(out.as_bytes())?;
+        self.out.clear();
+        req.write_to(&mut self.out);
+        self.out.push('\n');
+        self.stream.get_mut().write_all(self.out.as_bytes())?;
         let mut line = Vec::new();
         let n = (&mut self.stream)
             .take(MAX_REPLY_BYTES + 1)

@@ -388,6 +388,24 @@ pub fn program_from_json(j: &Json) -> Result<TcamProgram, CodecError> {
     if start >= states.len() {
         return err(format!("start state {start} out of range"));
     }
+    // The shape the program's users index by: patterns as wide as their
+    // state's key, transitions to existing states.
+    for (i, s) in states.iter().enumerate() {
+        for e in &s.entries {
+            if e.pattern.width() != s.key_width() {
+                return err(format!(
+                    "state {i}: a {}-bit pattern on a {}-bit key",
+                    e.pattern.width(),
+                    s.key_width()
+                ));
+            }
+            if let HwNext::State(HwStateId(n)) = e.next {
+                if n >= states.len() {
+                    return err(format!("state {i}: next state {n} out of range"));
+                }
+            }
+        }
+    }
     Ok(TcamProgram {
         device,
         states,
@@ -518,6 +536,13 @@ mod tests {
         let text = program_to_json(&p).to_pretty();
         let back = program_from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, p);
+
+        // Well-formed JSON describing a program of the wrong shape.
+        for (from, to) in [("\"1*0\"", "\"1*01\""), ("\"next\": 1", "\"next\": 2")] {
+            assert!(text.contains(from));
+            let bad = Json::parse(&text.replacen(from, to, 1)).unwrap();
+            assert!(program_from_json(&bad).is_err(), "accepted {from} -> {to}");
+        }
     }
 
     /// `keys` of `template`, each scalar row given a distinct value (a

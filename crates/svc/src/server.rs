@@ -56,17 +56,26 @@
 //!
 //! Everything observable increments `svc.*` counters on the ambient
 //! [`ph_obs`] tracer.  A request's time is split into spans:
-//! `svc.request.decode` (parsing the line), `svc.op.*` (the endpoint) and
-//! `svc.reply.write` (serializing the reply and the `write_all`).  Under
-//! `svc.op.submit`, `svc.key` times the content key, `cache.lookup` the
-//! inline lookup and `svc.reply.render` the program and stats rendering;
-//! only a miss adds `svc.job` on a worker.
+//!
+//! * `svc.request.decode` — parsing the line;
+//! * `svc.op.*` — the endpoint.  Under `svc.op.submit`:
+//!   * `svc.key` — the request's one [`CacheQuery`]: canonicalizing the
+//!     spec (`ir.canon`) and deriving the content key, which the reply
+//!     and the inline lookup share;
+//!   * `cache.lookup` — the inline lookup (reading and decoding the
+//!     entry);
+//!   * `svc.reply.render` — rendering the program and stats, on a hit;
+//!   * `svc.flight.wait` — a miss waiting on its flight, which is the
+//!     service's queue wait plus the synthesis;
+//! * `svc.reply.write` — serializing the reply into the connection's
+//!   reused buffer and the `write_all`;
+//! * `svc.job` — a miss's synthesis, on a worker thread.
 
 use crate::cache::DiskCache;
 use crate::codec::{self, CodecError};
 use crate::proto::{self, Request, SubmitReq};
 use ph_bits::Sha256;
-use ph_core::{SynthOutput, SynthParams, Synthesizer};
+use ph_core::{CacheQuery, SynthOutput, SynthParams, Synthesizer};
 use ph_ir::canon::spec_fingerprint_text;
 use ph_obs::Json;
 use std::collections::{HashMap, VecDeque};
@@ -267,16 +276,15 @@ fn render_ok(shared: &Shared, out: &SynthOutput) -> JobResult {
 
 /// Answers a submission from the cache on the calling thread, doing what
 /// [`Synthesizer::synthesize`] does before it solves: validate the spec,
-/// look it up, mark the stats as a hit.  An invalid spec is left to the
-/// worker, whose synthesis reports it.
-fn lookup_inline(shared: &Shared, req: &SubmitReq) -> Option<SynthOutput> {
+/// look the query up, mark the stats as a hit.  An invalid spec is left
+/// to the worker, whose synthesis reports it.
+fn lookup_inline(shared: &Shared, query: &CacheQuery<'_>) -> Option<SynthOutput> {
     let hook = shared.config.cache.as_ref()?;
-    req.spec.validate().ok()?;
+    query.spec.validate().ok()?;
     let tracer = ph_obs::current();
     let mut out = {
         let _span = tracer.span("cache.lookup");
-        hook.0
-            .lookup(&req.spec, &req.device, req.opts, &synth_params(shared, req))
+        hook.0.lookup_query(query)
     }?;
     tracer.count("svc.cache.hit", 1);
     out.stats.cache_hits = 1;
@@ -364,17 +372,21 @@ fn handle_submit(shared: &Shared, req: Box<SubmitReq>) -> Json {
         return proto::error_response("draining");
     }
     let tracer = ph_obs::current();
-    // Content key: same canonical spec, device model and synthesis knobs
-    // as the daemon's workers will use.
-    let key = {
-        let _span = tracer.span("svc.key");
-        DiskCache::key(&req.spec, &req.device, req.opts, &SynthParams::default())
-    };
+    // One query per request: its canonical spec and content key (the
+    // same canonical spec, device model and synthesis knobs as the
+    // daemon's workers will use) serve the reply and the inline lookup.
+    let params = synth_params(shared, &req);
+    let key_span = tracer.span("svc.key");
+    let query = CacheQuery::new(&req.spec, &req.device, req.opts, &params);
+    let key = DiskCache::query_key(&query).to_string();
+    drop(key_span);
     shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
     tracer.count("svc.submitted", 1);
-    if let Some(out) = lookup_inline(shared, &req) {
+    if let Some(out) = lookup_inline(shared, &query) {
         return submit_response(key, false, render_ok(shared, &out));
     }
+    // A miss queues `req` itself; its worker builds its own query.
+    drop(query);
 
     let flight_key = flight_key(&key, &req.spec);
 
@@ -415,7 +427,11 @@ fn handle_submit(shared: &Shared, req: Box<SubmitReq>) -> Json {
     } else {
         shared.queue_cv.notify_one();
     }
-    submit_response(key, deduped, flight.wait())
+    let result = {
+        let _span = tracer.span("svc.flight.wait");
+        flight.wait()
+    };
+    submit_response(key, deduped, result)
 }
 
 /// Dispatches one request.  The bool asks the connection handler to
@@ -472,6 +488,8 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
     let tracer = ph_obs::current();
     let mut reader = BufReader::new(stream);
     let mut line = Vec::new();
+    // Each reply is rendered, newline included, into this one buffer.
+    let mut reply = String::new();
     loop {
         // A timeout keeps the bytes read so far; the next read resumes
         // the same line.
@@ -514,7 +532,8 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         line.clear();
         let written = {
             let _span = tracer.span("svc.reply.write");
-            let mut reply = resp.to_string();
+            reply.clear();
+            resp.write_to(&mut reply);
             reply.push('\n');
             reader.get_mut().write_all(reply.as_bytes())
         };

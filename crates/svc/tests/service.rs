@@ -5,7 +5,9 @@
 //! caps, round trips free of Nagle stalls, and graceful drain waking the
 //! blocked accept.
 
-use ph_core::{CacheHook, OptConfig, SynthCache, SynthOutput, SynthParams, Synthesizer};
+use ph_core::{
+    CacheHook, CacheQuery, OptConfig, SynthCache, SynthOutput, SynthParams, Synthesizer,
+};
 use ph_hw::DeviceProfile;
 use ph_ir::ParserSpec;
 use ph_obs::Json;
@@ -149,25 +151,12 @@ struct GateCache {
 }
 
 impl SynthCache for GateCache {
-    fn lookup(
-        &self,
-        _spec: &ParserSpec,
-        _device: &DeviceProfile,
-        _opts: OptConfig,
-        _params: &SynthParams,
-    ) -> Option<SynthOutput> {
+    fn lookup_query(&self, _query: &CacheQuery<'_>) -> Option<SynthOutput> {
         self.lookups.fetch_add(1, Ordering::SeqCst);
         None
     }
 
-    fn store(
-        &self,
-        _spec: &ParserSpec,
-        _device: &DeviceProfile,
-        _opts: OptConfig,
-        _params: &SynthParams,
-        _out: &SynthOutput,
-    ) {
+    fn store_query(&self, _query: &CacheQuery<'_>, _out: &SynthOutput) {
         self.stores.fetch_add(1, Ordering::SeqCst);
         self.entered.wait();
         self.release.wait();
@@ -257,29 +246,16 @@ impl FirstStoreGate {
 }
 
 impl SynthCache for FirstStoreGate {
-    fn lookup(
-        &self,
-        spec: &ParserSpec,
-        device: &DeviceProfile,
-        opts: OptConfig,
-        params: &SynthParams,
-    ) -> Option<SynthOutput> {
-        self.inner.lookup(spec, device, opts, params)
+    fn lookup_query(&self, query: &CacheQuery<'_>) -> Option<SynthOutput> {
+        self.inner.lookup_query(query)
     }
 
-    fn store(
-        &self,
-        spec: &ParserSpec,
-        device: &DeviceProfile,
-        opts: OptConfig,
-        params: &SynthParams,
-        out: &SynthOutput,
-    ) {
+    fn store_query(&self, query: &CacheQuery<'_>, out: &SynthOutput) {
         if self.stores.fetch_add(1, Ordering::SeqCst) == 0 {
             self.entered.wait();
             self.release.wait();
         }
-        self.inner.store(spec, device, opts, params, out);
+        self.inner.store_query(query, out);
     }
 }
 

@@ -1,6 +1,7 @@
 //! The daemon's spans, read from an in-memory tracer: a cache hit is
-//! answered on its connection thread under named spans and never runs a
-//! worker job.  The tracer is process-global, so this file holds one test.
+//! answered on its connection thread under named spans, canonicalizes
+//! its spec once and never runs a worker job; a miss waits on its flight
+//! under a span.  The tracer is process-global, so this file holds one test.
 
 use ph_core::{CacheHook, OptConfig};
 use ph_hw::DeviceProfile;
@@ -69,6 +70,18 @@ fn a_traced_hit_is_named_by_spans_and_never_reaches_a_worker() {
             .count()
     };
     assert_eq!(jobs(&cold_events), 1, "the miss runs one job");
+    // The miss's connection thread waits on its flight under a span.
+    let cold_spans = entered(&cold_events);
+    let (_, cold_submit, _) = *cold_spans
+        .iter()
+        .find(|(name, ..)| *name == "svc.op.submit")
+        .unwrap();
+    assert!(
+        cold_spans
+            .iter()
+            .any(|&(name, _, parent)| name == "svc.flight.wait" && parent == Some(cold_submit)),
+        "no svc.flight.wait under svc.op.submit: {cold_spans:?}"
+    );
 
     let warm = client
         .submit_wait(&spec, &dev, OptConfig::all(), deadline)
@@ -94,6 +107,17 @@ fn a_traced_hit_is_named_by_spans_and_never_reaches_a_worker() {
             "{inside} under svc.op.submit"
         );
     }
+    // One canonicalization per hit, under the content key.
+    let canons: Vec<_> = spans
+        .iter()
+        .filter(|(name, ..)| *name == "ir.canon")
+        .collect();
+    assert_eq!(canons.len(), 1, "{spans:?}");
+    assert_eq!(
+        canons[0].2,
+        Some(id_of("svc.key").1),
+        "ir.canon under svc.key"
+    );
     id_of("svc.request.decode");
     id_of("svc.reply.write");
     let hits: u64 = hit
