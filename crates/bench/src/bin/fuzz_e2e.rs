@@ -6,9 +6,9 @@
 //!
 //! For every registry case the oracle three-way-compares the specification
 //! simulator, the synthesized program and the baseline `direct_translate`
-//! program on grammar-aware packets (accepting-path seeds plus flip /
-//! truncate / varbit-extreme / lookahead / extend mutants and a uniform
-//! random tail; see `ph_core::fuzz`).  Any divergence is ddmin-shrunk and
+//! program on grammar-aware packets (one seed per spec transition plus
+//! flip / truncate / varbit-extreme / lookahead / extend mutants and a
+//! constant-planted random tail; see `ph_core::fuzz`).  Any divergence is ddmin-shrunk and
 //! reported with its state paths and first differing dictionary field.
 //!
 //! Environment knobs:
@@ -20,9 +20,12 @@
 //! * `PH_CACHE_DIR` — enables the `ph-svc` synthesis-result cache for the
 //!   per-case synthesis (the fuzzing itself always runs fresh).
 //! * `PH_FUZZ_CORRUPT=1` — mutation-testing mode: instead of checking the
-//!   real programs, inject a corruption into the baseline translation of
-//!   every case and demand that the oracle catches it with a shrunk
-//!   witness.  Exit status inverts: failing to find the planted bug fails.
+//!   real programs, flip each entry's `next` in the baseline translation
+//!   of every case in turn, run every flip through the final gate of
+//!   `synthesize()` (`ph_core::fuzz::check_e2e` at its budget), and
+//!   report caught/total per case.  A case fails unless at least one flip
+//!   is caught with a shrunk witness (some flips are inert: shadowed
+//!   entries).
 //!
 //! Exits non-zero on any divergence (normal mode) or any uncaught
 //! corruption (corrupt mode), so CI can gate on it.  Besides the stdout
@@ -30,14 +33,11 @@
 //! with its counters and full divergence reports.
 
 use ph_bench::{jobs_from_args, par_map, report, Config};
-use ph_core::fuzz::{fuzz, FuzzConfig, FuzzReport};
+use ph_core::fuzz::{check_e2e, fuzz, FuzzConfig, FuzzReport, GATE_PACKETS};
 use ph_core::{OptConfig, SynthParams, Synthesizer};
 use ph_hw::{DeviceProfile, HwNext, TcamProgram};
 use ph_obs::{Json, Level};
 use std::time::Instant;
-
-/// Per-case packet budget: 0 runs every generated packet.
-const PACKET_BUDGET: usize = 0;
 
 /// Corruption candidates: each entry's action flipped in turn
 /// (Accept/State → Reject, Reject → Accept).  Returns the corrupted
@@ -70,6 +70,9 @@ struct CaseOutcome {
     /// Corrupt mode: description of the first caught mutation, or `None`
     /// when every candidate slipped through.
     caught: Option<String>,
+    /// Corrupt mode: mutations tried (`report.stats.divergences` of them
+    /// were caught).
+    mutants: usize,
     time_s: f64,
 }
 
@@ -106,45 +109,43 @@ fn main() {
         t.msg_with(Level::Info, || format!("fuzz_e2e: running {}", case.name));
         let started = Instant::now();
 
-        let cfg = FuzzConfig {
-            packet_budget: PACKET_BUDGET,
-            // One shrunk witness per planted bug is enough in corrupt mode.
-            max_divergences: if corrupt {
-                1
-            } else {
-                FuzzConfig::default().max_divergences
-            },
-            ..FuzzConfig::default()
-        };
         let direct = ph_baseline::translate::direct_translate(&case.spec, &device);
 
         if corrupt {
-            // Mutation testing: the oracle must catch a planted bug with a
-            // shrunk witness.  Some corruptions are semantically inert
-            // (shadowed entries), so any caught candidate counts.
-            let mut caught = None;
+            // Mutation testing through the gate `synthesize()` runs, at its
+            // seed and budget: every flip is tried, the first caught one's
+            // shrunk witness is kept.
+            let seed = SynthParams::default().seed;
             let mut report = FuzzReport {
                 stats: Default::default(),
                 divergences: Vec::new(),
             };
-            for (bad, what) in corruptions(&direct) {
-                let r = fuzz(&case.spec, &[("corrupt-direct", &bad)], &cfg);
+            let mut caught = None;
+            let candidates = corruptions(&direct);
+            for (bad, what) in &candidates {
+                let r = check_e2e(&case.spec, bad, seed, GATE_PACKETS).map_or_else(
+                    |refused| *refused,
+                    |stats| FuzzReport {
+                        stats,
+                        divergences: Vec::new(),
+                    },
+                );
+                if caught.is_none() && !r.clean() {
+                    caught = Some(what.clone());
+                    report.divergences = r.divergences;
+                }
                 report.stats.packets += r.stats.packets;
                 report.stats.seeds = r.stats.seeds;
                 report.stats.incomparable += r.stats.incomparable;
+                report.stats.divergences += r.stats.divergences;
                 report.stats.shrink_steps += r.stats.shrink_steps;
-                if !r.clean() {
-                    report.stats.divergences += r.stats.divergences;
-                    report.divergences = r.divergences;
-                    caught = Some(what);
-                    break;
-                }
             }
             return CaseOutcome {
                 report,
                 subjects: vec!["corrupt-direct".into()],
                 synth_note: None,
                 caught,
+                mutants: candidates.len(),
                 time_s: started.elapsed().as_secs_f64(),
             };
         }
@@ -177,12 +178,13 @@ fn main() {
         if let Some(p) = &synthesized {
             programs.push(("synth", p));
         }
-        let report = fuzz(&case.spec, &programs, &cfg);
+        let report = fuzz(&case.spec, &programs, &FuzzConfig::default());
         CaseOutcome {
             report,
             subjects,
             synth_note,
             caught: None,
+            mutants: 0,
             time_s: started.elapsed().as_secs_f64(),
         }
     });
@@ -206,9 +208,10 @@ fn main() {
             note = format!("{note} ({n})");
         }
         if corrupt {
+            let n = o.report.stats.divergences;
             note = match &o.caught {
-                Some(what) => format!("caught: {what}"),
-                None => "UNCAUGHT".into(),
+                Some(what) => format!("caught {n}/{}, first: {what}", o.mutants),
+                None => format!("UNCAUGHT (0/{})", o.mutants),
             };
         }
         println!(
@@ -255,6 +258,7 @@ fn main() {
                         None => Json::Null,
                     },
                 )
+                .with("mutants", o.mutants)
                 .with("time_s", o.time_s),
         );
     }
@@ -267,7 +271,7 @@ fn main() {
     );
     if corrupt {
         if uncaught.is_empty() {
-            println!("mutation test: every case's planted corruption was caught and shrunk");
+            println!("mutation test: every case had a planted corruption caught and shrunk");
         } else {
             println!("mutation test FAILED: corruption not caught on {uncaught:?}");
         }
@@ -278,7 +282,7 @@ fn main() {
         .with("synth", do_synth && !corrupt)
         .with("filter", filter)
         .with("jobs", jobs as u64)
-        .with("packet_budget", PACKET_BUDGET)
+        .with("packet_budget", if corrupt { GATE_PACKETS } else { 0 })
         .with("rows", Json::Arr(rows_json))
         .with(
             "summary",

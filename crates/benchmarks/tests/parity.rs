@@ -41,12 +41,11 @@ fn registry_direct_translate_fuzzes_clean() {
 #[test]
 fn registry_parity_at_boundary_lengths() {
     let device = DeviceProfile::tofino();
-    let cfg = FuzzConfig::default();
     for case in ph_benchmarks::registry() {
         let prog = direct_translate(&case.spec, &device);
         let mut rng = Rng::seed_from_u64(0x9aa5);
         let mut compared = 0usize;
-        for seed in seed_packets(&case.spec, &cfg, &mut rng) {
+        for seed in seed_packets(&case.spec, &mut rng) {
             let mut inputs = vec![seed.bits.clone()];
             for &cut in &seed.boundaries {
                 inputs.push(seed.bits.slice(0, cut.min(seed.bits.len())));
@@ -92,10 +91,9 @@ fn registry_parity_at_boundary_lengths() {
 /// boundaries for the truncation sweep.
 #[test]
 fn registry_seeds_are_grammar_aware() {
-    let cfg = FuzzConfig::default();
     for case in ph_benchmarks::registry() {
         let mut rng = Rng::seed_from_u64(1);
-        let seeds = seed_packets(&case.spec, &cfg, &mut rng);
+        let seeds = seed_packets(&case.spec, &mut rng);
         assert!(!seeds.is_empty(), "{}: no accepting-path seeds", case.name);
         // Seeds follow planned accepting paths; some paths are
         // unsatisfiable (re-extraction overwrites planted constants, so
@@ -112,7 +110,7 @@ fn registry_seeds_are_grammar_aware() {
             seeds.len()
         );
         for seed in &seeds {
-            let ms = mutants(seed, &cfg, &mut rng);
+            let ms = mutants(seed, &mut rng);
             assert!(ms.iter().any(|(g, _)| *g == "path"));
             if !seed.boundaries.is_empty() {
                 assert!(ms.iter().any(|(g, _)| *g == "truncate"), "{}", case.name);

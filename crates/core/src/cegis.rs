@@ -18,12 +18,10 @@
 
 use crate::bounds::{compute_bounds, Bounds};
 use crate::encode::encode_impl;
-use crate::post;
 use crate::reduce::reduce_spec;
 use crate::skeleton::{self, build_shape, build_vars, ConcreteSkel, Shape};
 use crate::specenc::{encode_spec_paths, mismatch_term};
-use crate::validate;
-use crate::{OptConfig, SynthError, SynthOutput, SynthParams, SynthStats};
+use crate::{fuzz, post, OptConfig, SynthError, SynthOutput, SynthParams, SynthStats};
 use ph_bits::{BitString, Rng};
 use ph_hw::DeviceProfile;
 use ph_ir::{analysis, NextState, ParseStatus, ParserSpec, StateId};
@@ -725,14 +723,8 @@ fn finish_or_timeout(
     let tracer = ph_obs::current();
     {
         let _span = tracer.span("synth.validate");
-        validate::check_program_against_spec(orig_spec, &program, params.seed, 400)
-            .map_err(SynthError::ValidationFailed)?;
-    }
-    if params.e2e_samples > 0 {
-        let _span = tracer.span("synth.fuzz_e2e");
-        crate::fuzz::check_e2e(orig_spec, &program, params.seed, params.e2e_samples).map_err(
-            |d| SynthError::ValidationFailed(format!("fuzz oracle divergence: {}", d.to_json())),
-        )?;
+        fuzz::check_e2e(orig_spec, &program, params.seed, fuzz::GATE_PACKETS)
+            .map_err(|e| SynthError::ValidationFailed(e.to_string()))?;
     }
     let violations = ph_hw::check_program(&program, &orig_spec.fields);
     if !violations.is_empty() {

@@ -1,14 +1,17 @@
-//! Differential packet-fuzzing oracle — the Fig. 22 check grown into a
-//! subsystem.
+//! Differential packet-fuzzing oracle — the Fig. 22 simulator check, and
+//! the final gate of every synthesis run.
 //!
-//! [`check_program_against_spec`](crate::validate) samples uniform random
-//! bitstreams; parser-equivalence bugs hide exactly in the boundary cases
-//! (truncation mid-extraction, lookahead windows straddling the end of the
-//! packet, varbit length extremes) that uniform sampling almost never
-//! hits.  This module generates packets *grammar-aware*: it walks the
-//! specification's transition graph, materializes one packet per accepting
-//! path by planting each chosen transition pattern's care bits concretely,
-//! and then derives mutants from every seed:
+//! Every packet is run through the spec simulator ([`ph_ir::simulate`])
+//! and each program under test ([`ph_hw::run_program`]).
+//! Parser-equivalence bugs hide in boundary cases (truncation
+//! mid-extraction, lookahead windows straddling the end of the packet,
+//! varbit length extremes, one transition among dozens) that uniform
+//! sampling almost never hits, so packets are generated *grammar-aware*,
+//! in the manner of P4Testgen's path-based test generation: the oracle
+//! selects one path through every transition of the specification's
+//! transition graph, materializes each into a seed packet by planting the
+//! chosen transition patterns' care bits, and derives mutants from every
+//! seed:
 //!
 //! * **flip** — each planted constant bit flipped, so near-miss keys are
 //!   exercised;
@@ -19,27 +22,35 @@
 //! * **lookahead** — lengths that leave a lookahead window partially past
 //!   the end of the input (hardware pads with zeros; the program must
 //!   agree);
-//! * **extend** — random bits appended past the accepting length;
-//! * **random** — plain uniform bitstreams, kept as a baseline class.
+//! * **extend** — random bits appended past the seed's length.
 //!
-//! Every packet is run through the spec simulator ([`ph_ir::simulate`])
-//! and each program under test ([`ph_hw::run_program`]); the `fuzz_e2e`
-//! binary three-way-compares the synthesized program and the baseline
-//! `direct_translate` program against the spec.  A disagreement is
-//! ddmin-shrunk to a minimal bitstream and reported as a structured
-//! [`Divergence`] (state paths, first differing dictionary field,
-//! machine-readable via [`Divergence::to_json`]).
+//! The seeds are served round-robin (every seed's path packet, then every
+//! seed's first mutant, ...), so a tight budget still reaches every
+//! transition.  A **random** class fills what the budget leaves: full,
+//! truncated and extended bitstreams, every third with a spec constant
+//! planted at a random offset.
 //!
-//! [`SynthParams::e2e_samples`](crate::SynthParams) runs this oracle as a
-//! post-verification gate inside `synthesize()` itself.
+//! [`check_e2e`] is the final gate of `synthesize()`: [`GATE_PACKETS`]
+//! packets, the first disagreement ddmin-shrunk to a minimal bitstream and
+//! reported as a structured [`Divergence`] (state paths, first differing
+//! dictionary field, machine-readable via [`Divergence::to_json`]).  The
+//! `fuzz_e2e` binary runs [`fuzz`] unbounded and three-way-compares the
+//! synthesized program and the baseline `direct_translate` program against
+//! the spec.
 
 use ph_bits::{BitString, Rng};
 use ph_hw::{run_program, TcamProgram};
 use ph_ir::{
     analysis, simulate, varbit_len, FieldKind, KeyPart, NextState, ParseStatus, ParserSpec,
-    SimResult, StateId,
+    SimResult, State, StateId,
 };
 use ph_obs::Json;
+
+/// Packets the final gate of `synthesize()` compares ([`check_e2e`]).
+pub const GATE_PACKETS: usize = 400;
+
+/// Cap on planted-bit flip mutants per seed packet.
+const MAX_FLIPS: usize = 64;
 
 /// Knobs of a fuzzing run.  The defaults are sized for one benchmark case;
 /// `packet_budget` is the overall scale lever.
@@ -47,11 +58,9 @@ use ph_obs::Json;
 pub struct FuzzConfig {
     /// Seed for free-bit filling, random packets and mutant sampling.
     pub seed: u64,
-    /// Cap on accepting paths materialized into seed packets.
-    pub max_paths: usize,
-    /// Cap on planted-bit flip mutants per seed packet.
-    pub max_flips: usize,
-    /// Uniform random packets appended after the grammar-aware classes.
+    /// Random packets after the grammar-aware classes.  Under a packet
+    /// budget this is the share reserved for them; they also fill
+    /// whatever the grammar-aware classes leave.
     pub random_samples: usize,
     /// Spec-side iteration budget (programs get four times as many).
     pub iters: usize,
@@ -67,8 +76,6 @@ impl Default for FuzzConfig {
     fn default() -> Self {
         FuzzConfig {
             seed: 0x9aa5,
-            max_paths: 64,
-            max_flips: 64,
             random_samples: 64,
             iters: 64,
             shrink: true,
@@ -175,7 +182,7 @@ ph_obs::stats! {
     /// Aggregate counters of one fuzzing run.
     #[derive(Clone, Copy, Debug, Default)]
     pub struct FuzzStats {
-        /// Seed packets materialized from accepting paths.
+        /// Seed packets, one per path through a spec transition.
         seeds: u64 = "seeds",
         /// Packets compared (per program pair).
         packets: u64 = "packets",
@@ -204,6 +211,22 @@ impl FuzzReport {
     }
 }
 
+/// The first divergence, or the packet counts when there is none.
+impl std::fmt::Display for FuzzReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.divergences.first() {
+            Some(d) => d.fmt(f),
+            None => write!(
+                f,
+                "{} of {} packets were comparable (the spec hit its iteration \
+                 budget on the rest)",
+                self.stats.packets - self.stats.incomparable,
+                self.stats.packets
+            ),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Grammar-aware seed generation
 // ---------------------------------------------------------------------------
@@ -219,7 +242,7 @@ struct DictSrc {
     width: usize,
 }
 
-/// A packet materialized from one accepting path, with the provenance the
+/// A packet materialized from one seed path, with the provenance the
 /// mutant generators need.
 #[derive(Clone, Debug)]
 pub struct SeedPacket {
@@ -237,54 +260,86 @@ pub struct SeedPacket {
     pub path: Vec<usize>,
 }
 
-/// One step of an accepting path: a state plus the transition taken out of
-/// it (`None` = the default transition).
+/// One step of a path: a state plus the transition taken out of it
+/// (`None` = the default transition).
 type PathStep = (StateId, Option<usize>);
 
-/// Enumerates paths through the transition graph that end in `Accept`,
-/// depth-bounded by `max_depth` states and capped at `cap` paths.  Loopy
-/// specs contribute their unrollings up to the depth bound.
-fn accepting_paths(spec: &ParserSpec, max_depth: usize, cap: usize) -> Vec<Vec<PathStep>> {
-    let mut out: Vec<Vec<PathStep>> = Vec::new();
-    let mut prefix: Vec<PathStep> = Vec::new();
+/// The transitions out of `st` as `(choice, target)` pairs: the pattern
+/// transitions in order, then the default.
+fn choices(st: &State) -> impl Iterator<Item = (Option<usize>, NextState)> + '_ {
+    st.transitions
+        .iter()
+        .enumerate()
+        .map(|(i, t)| (Some(i), t.next))
+        .chain(std::iter::once((None, st.default)))
+}
 
-    fn visit(
-        spec: &ParserSpec,
-        s: StateId,
-        prefix: &mut Vec<PathStep>,
-        out: &mut Vec<Vec<PathStep>>,
-        max_depth: usize,
-        cap: usize,
-    ) {
-        if out.len() >= cap || prefix.len() >= max_depth {
-            return;
+/// Selects the seed paths of `spec`: one through every transition
+/// reachable from the start state — the shortest prefix to its state, the
+/// transition, then the shortest way to `Accept` (or to `Reject` where no
+/// accept is reachable).  A loop's back edge is thus taken once; deeper
+/// iterations are left to the random class.
+fn seed_paths(spec: &ParserSpec) -> Vec<Vec<PathStep>> {
+    let n = spec.states.len();
+    // Shortest prefixes: breadth-first from the start state.
+    let mut order = vec![(spec.start, Vec::new())];
+    let mut i = 0;
+    while let Some((s, prefix)) = order.get(i).cloned() {
+        i += 1;
+        for (c, next) in choices(spec.state(s)) {
+            if let NextState::State(m) = next {
+                if order.iter().all(|(x, _)| *x != m) {
+                    let mut p = prefix.clone();
+                    p.push((s, c));
+                    order.push((m, p));
+                }
+            }
         }
-        let st = spec.state(s);
-        let choices = st
-            .transitions
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (Some(i), t.next))
-            .chain(std::iter::once((None, st.default)));
-        for (choice, next) in choices {
-            if out.len() >= cap {
-                return;
+    }
+    // Shortest finishes: steps to `Accept`, a reject costing more than any
+    // accepting finish; `usize::MAX` where neither is reachable.
+    let mut cost = vec![usize::MAX; n];
+    let mut finish = vec![(None, NextState::Reject); n];
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for (s, st) in spec.states.iter().enumerate() {
+            for (c, next) in choices(st) {
+                let k = match next {
+                    NextState::Accept => 1,
+                    NextState::Reject => n + 1,
+                    NextState::State(m) => cost[m.0].saturating_add(1),
+                };
+                if k < cost[s] {
+                    (cost[s], finish[s]) = (k, (c, next));
+                    changed = true;
+                }
             }
-            prefix.push((s, choice));
-            match next {
-                NextState::Accept => out.push(prefix.clone()),
-                NextState::Reject => {}
-                NextState::State(n) => visit(spec, n, prefix, out, max_depth, cap),
-            }
-            prefix.pop();
         }
     }
 
-    visit(spec, spec.start, &mut prefix, &mut out, max_depth, cap);
+    let mut out: Vec<Vec<PathStep>> = Vec::new();
+    for (s, prefix) in &order {
+        for (c, mut next) in choices(spec.state(*s)) {
+            let mut path = prefix.clone();
+            path.push((*s, c));
+            while let NextState::State(m) = next {
+                if cost[m.0] == usize::MAX {
+                    break;
+                }
+                path.push((m, finish[m.0].0));
+                next = finish[m.0].1;
+            }
+            if !matches!(next, NextState::State(_)) && !out.contains(&path) {
+                out.push(path);
+            }
+        }
+    }
+
     out
 }
 
-/// Materializes one accepting path into a concrete packet.
+/// Materializes one path into a concrete packet.
 ///
 /// The walk mirrors the spec simulator: extractions append fresh packet
 /// bits at the cursor, and the chosen transition's pattern care bits are
@@ -416,13 +471,9 @@ fn materialize(spec: &ParserSpec, path: &[PathStep], rng: &mut Rng) -> SeedPacke
     }
 }
 
-/// Generates the grammar-aware seed packets for `spec`: one per accepting
-/// path (depth- and count-capped by `cfg`).
-pub fn seed_packets(spec: &ParserSpec, cfg: &FuzzConfig, rng: &mut Rng) -> Vec<SeedPacket> {
-    // Loop-free specs visit each state at most once; loopy specs get their
-    // unrollings bounded to a depth that keeps path counts sane.
-    let depth = analysis::max_path_states(spec, 12).max(2);
-    accepting_paths(spec, depth, cfg.max_paths)
+/// Generates the grammar-aware seed packets for `spec`: one per seed path.
+pub fn seed_packets(spec: &ParserSpec, rng: &mut Rng) -> Vec<SeedPacket> {
+    seed_paths(spec)
         .iter()
         .map(|p| materialize(spec, p, rng))
         .collect()
@@ -430,17 +481,13 @@ pub fn seed_packets(spec: &ParserSpec, cfg: &FuzzConfig, rng: &mut Rng) -> Vec<S
 
 /// Derives the mutant packets of one seed, tagged with their generator
 /// class.
-pub fn mutants(
-    seed: &SeedPacket,
-    cfg: &FuzzConfig,
-    rng: &mut Rng,
-) -> Vec<(&'static str, BitString)> {
+pub fn mutants(seed: &SeedPacket, rng: &mut Rng) -> Vec<(&'static str, BitString)> {
     let mut out: Vec<(&'static str, BitString)> = Vec::new();
     let b = &seed.bits;
     out.push(("path", b.clone()));
 
     // Flip each planted constant bit (near-miss keys).
-    for &p in seed.planted.iter().take(cfg.max_flips) {
+    for &p in seed.planted.iter().take(MAX_FLIPS) {
         let mut m = b.clone();
         m.set(p, !m.get(p));
         out.push(("flip", m));
@@ -476,7 +523,7 @@ pub fn mutants(
         }
     }
 
-    // Random bits appended past the accepting length.
+    // Random bits appended past the seed's length.
     let mut ext = b.clone();
     for _ in 0..16 {
         ext.push(rng.gen_bool(0.5));
@@ -616,72 +663,19 @@ pub fn ddmin(
     }
 }
 
-/// Runs the differential oracle: every grammar-aware seed, its mutants and
-/// a tail of uniform random packets, each compared across `programs`.
-/// Divergences are shrunk (when configured) and reported structurally.
-pub fn fuzz(spec: &ParserSpec, programs: &[(&str, &TcamProgram)], cfg: &FuzzConfig) -> FuzzReport {
-    let tracer = ph_obs::current();
-    let _span = tracer.span("fuzz.case");
-    let mut rng = Rng::seed_from_u64(cfg.seed ^ 0xf0225eed);
-    let mut stats = FuzzStats::default();
-    let mut divergences: Vec<Divergence> = Vec::new();
-
-    let seeds = seed_packets(spec, cfg, &mut rng);
-    stats.seeds = seeds.len() as u64;
-
-    let budget_left = |stats: &FuzzStats, divs: &Vec<Divergence>| {
-        divs.len() < cfg.max_divergences
-            && (cfg.packet_budget == 0 || (stats.packets as usize) < cfg.packet_budget)
-    };
-
-    let run_input = |generator: &'static str,
-                     input: &BitString,
-                     stats: &mut FuzzStats,
-                     divergences: &mut Vec<Divergence>| {
-        for &(name, program) in programs {
-            if !budget_left(stats, divergences) {
-                return;
-            }
-            stats.packets += 1;
-            match compare_one(spec, name, program, input, cfg.iters, generator) {
-                Outcome::Agree => {}
-                Outcome::Incomparable => stats.incomparable += 1,
-                Outcome::Diverged(mut d) => {
-                    if cfg.shrink {
-                        let mut steps = 0u64;
-                        let small = ddmin(spec, program, input, cfg.iters, 2000, &mut steps);
-                        // Re-derive the report on the minimal input so the
-                        // paths/statuses describe what is actually shipped.
-                        if let Outcome::Diverged(sd) =
-                            compare_one(spec, name, program, &small, cfg.iters, generator)
-                        {
-                            d = sd;
-                        }
-                        d.shrink_steps = steps;
-                        stats.shrink_steps += steps;
-                    }
-                    stats.divergences += 1;
-                    divergences.push(*d);
-                }
-            }
-        }
-    };
-
-    for seed in &seeds {
-        if !budget_left(&stats, &divergences) {
-            break;
-        }
-        for (generator, input) in mutants(seed, cfg, &mut rng) {
-            run_input(generator, &input, &mut stats, &mut divergences);
-        }
-    }
-
-    // Uniform random tail — the original Fig. 22 sampler, kept as a class.
+/// The random class: bitstreams of full length (half of them), truncated
+/// (a quarter) and extended by up to 16 bits (a quarter), every third
+/// with a spec constant planted at a random offset so that random keys
+/// hit transitions too.  The stream depends only on the seed and the spec.
+fn random_packets(spec: &ParserSpec, cfg: &FuzzConfig) -> impl Iterator<Item = BitString> {
+    let mut rng = Rng::seed_from_u64(cfg.seed ^ 0xf1622);
     let full = analysis::max_bits_consumed(spec, cfg.iters.min(24)).max(1);
-    for round in 0..cfg.random_samples {
-        if !budget_left(&stats, &divergences) {
-            break;
-        }
+    let constants: Vec<BitString> = spec
+        .states
+        .iter()
+        .flat_map(|st| st.transitions.iter().map(|t| t.pattern.value().clone()))
+        .collect();
+    (0usize..).map(move |round| {
         let len = match round % 4 {
             0 | 1 => full,
             2 => rng.gen_range(0..=full),
@@ -691,41 +685,128 @@ pub fn fuzz(spec: &ParserSpec, programs: &[(&str, &TcamProgram)], cfg: &FuzzConf
         for i in 0..len {
             input.set(i, rng.gen_bool(0.5));
         }
-        run_input("random", &input, &mut stats, &mut divergences);
+        if !constants.is_empty() && len > 0 && round % 3 == 0 {
+            let c = &constants[rng.gen_range(0..constants.len())];
+            if c.len() <= len {
+                let off = rng.gen_range(0..=(len - c.len()));
+                for i in 0..c.len() {
+                    input.set(off + i, c.get(i));
+                }
+            }
+        }
+        input
+    })
+}
+
+/// Runs the differential oracle: the grammar-aware seeds and their mutants
+/// round-robin, then the random class, each packet compared across
+/// `programs`.  Divergences are shrunk (when configured) and reported
+/// structurally.
+pub fn fuzz(spec: &ParserSpec, programs: &[(&str, &TcamProgram)], cfg: &FuzzConfig) -> FuzzReport {
+    let tracer = ph_obs::current();
+    let _span = tracer.span("fuzz.case");
+    let mut rng = Rng::seed_from_u64(cfg.seed ^ 0xf0225eed);
+    let mut stats = FuzzStats::default();
+    let mut divergences: Vec<Divergence> = Vec::new();
+
+    let seeds = seed_packets(spec, &mut rng);
+    stats.seeds = seeds.len() as u64;
+    let budget = Some(cfg.packet_budget)
+        .filter(|&b| b > 0)
+        .unwrap_or(usize::MAX);
+
+    // Runs one input on every program; false once a cap is reached.
+    let mut run_input =
+        |generator: &'static str, input: &BitString, stats: &mut FuzzStats| -> bool {
+            for &(name, program) in programs {
+                if divergences.len() >= cfg.max_divergences || stats.packets as usize >= budget {
+                    return false;
+                }
+                stats.packets += 1;
+                match compare_one(spec, name, program, input, cfg.iters, generator) {
+                    Outcome::Agree => {}
+                    Outcome::Incomparable => stats.incomparable += 1,
+                    Outcome::Diverged(mut d) => {
+                        if cfg.shrink {
+                            let mut steps = 0u64;
+                            let small = ddmin(spec, program, input, cfg.iters, 2000, &mut steps);
+                            // Re-derive the report on the minimal input so
+                            // the paths/statuses describe what is shipped.
+                            if let Outcome::Diverged(sd) =
+                                compare_one(spec, name, program, &small, cfg.iters, generator)
+                            {
+                                d = sd;
+                            }
+                            d.shrink_steps = steps;
+                            stats.shrink_steps += steps;
+                        }
+                        stats.divergences += 1;
+                        divergences.push(*d);
+                    }
+                }
+            }
+            true
+        };
+
+    // Round k runs every seed's k-th packet, so each seed's path packet
+    // runs before any seed's second mutant.
+    let grammar_budget = budget.saturating_sub(cfg.random_samples);
+    let batches: Vec<_> = seeds.iter().map(|s| mutants(s, &mut rng)).collect();
+    let rounds = batches.iter().map(Vec::len).max().unwrap_or(0);
+    'grammar: for k in 0..rounds {
+        for (generator, input) in batches.iter().filter_map(|b| b.get(k)) {
+            if stats.packets as usize >= grammar_budget || !run_input(generator, input, &mut stats)
+            {
+                break 'grammar;
+            }
+        }
+    }
+
+    // The random class: `random_samples` packets, or under a budget all
+    // that it leaves.
+    let random_rounds = if cfg.packet_budget == 0 {
+        cfg.random_samples
+    } else {
+        budget
+    };
+    for input in random_packets(spec, cfg).take(random_rounds) {
+        if !run_input("random", &input, &mut stats) {
+            break;
+        }
     }
 
     stats.emit(&tracer, "fuzz");
     FuzzReport { stats, divergences }
 }
 
-/// The post-verification gate used by `synthesize()` when
-/// [`SynthParams::e2e_samples`](crate::SynthParams) is non-zero: runs the
-/// oracle with an overall packet budget and returns the first (shrunk)
-/// divergence as an error.
+/// The final gate of `synthesize()` (at [`GATE_PACKETS`]): runs the
+/// oracle on `program` alone with a budget of `packets`, a quarter of it
+/// reserved for the random class, and stops at the first divergence.
 ///
 /// # Errors
 ///
-/// The first divergence found, minimized.
+/// The refused run's report: its first divergence, minimized, or — so
+/// that a spec which loops on most inputs cannot pass vacuously — none,
+/// when fewer than half of the packets were comparable.
 pub fn check_e2e(
     spec: &ParserSpec,
     program: &TcamProgram,
     seed: u64,
-    samples: usize,
-) -> Result<FuzzStats, Box<Divergence>> {
+    packets: usize,
+) -> Result<FuzzStats, Box<FuzzReport>> {
     let cfg = FuzzConfig {
         seed,
-        max_paths: 32,
-        max_flips: 32,
-        random_samples: samples / 4,
+        random_samples: packets / 4,
         max_divergences: 1,
-        packet_budget: samples,
+        packet_budget: packets,
         ..FuzzConfig::default()
     };
     let report = fuzz(spec, &[("synth", program)], &cfg);
-    match report.divergences.into_iter().next() {
-        None => Ok(report.stats),
-        Some(d) => Err(Box::new(d)),
+    let comparable = report.stats.packets - report.stats.incomparable;
+    if report.clean() && 2 * comparable >= report.stats.packets {
+        return Ok(report.stats);
     }
+    Err(Box::new(report))
 }
 
 #[cfg(test)]
@@ -778,19 +859,18 @@ mod tests {
     }
 
     #[test]
-    fn accepting_paths_cover_both_branches() {
+    fn seed_paths_cover_both_branches() {
         let spec = varbit_spec();
-        let paths = accepting_paths(&spec, 8, 64);
-        // start->default-accept and start->opts->accept.
+        let paths = seed_paths(&spec);
+        // start->opts->accept and start->default-accept.
         assert_eq!(paths.len(), 2);
     }
 
     #[test]
     fn seeds_satisfy_their_planted_patterns() {
         let spec = varbit_spec();
-        let cfg = FuzzConfig::default();
         let mut rng = Rng::seed_from_u64(7);
-        let seeds = seed_packets(&spec, &cfg, &mut rng);
+        let seeds = seed_packets(&spec, &mut rng);
         assert_eq!(seeds.len(), 2);
         // The through-path seed must actually reach the second state.
         let deep = seeds
@@ -809,11 +889,10 @@ mod tests {
     #[test]
     fn mutant_classes_present() {
         let spec = varbit_spec();
-        let cfg = FuzzConfig::default();
         let mut rng = Rng::seed_from_u64(7);
-        let seeds = seed_packets(&spec, &cfg, &mut rng);
+        let seeds = seed_packets(&spec, &mut rng);
         let deep = seeds.iter().find(|s| s.path == vec![0, 1]).unwrap();
-        let ms = mutants(deep, &cfg, &mut rng);
+        let ms = mutants(deep, &mut rng);
         for class in ["path", "flip", "truncate", "ctrl-extreme", "extend"] {
             assert!(ms.iter().any(|(g, _)| *g == class), "missing {class}");
         }
@@ -892,5 +971,77 @@ mod tests {
             j.get("spec_path").and_then(Json::as_arr).map(|a| a.len()),
             Some(2)
         );
+    }
+
+    /// Fig. 7's two-state spec: `ty == 7` parses `a_t`, anything else
+    /// accepts.
+    fn two_state_spec() -> ParserSpec {
+        ph_p4f::parse_parser(
+            r#"
+            header h_t { ty : 4; }
+            header a_t { v : 8; }
+            parser {
+                state start {
+                    extract(h_t);
+                    transition select(h_t.ty) { 7 : pa; default : accept; }
+                }
+                state pa { extract(a_t); transition accept; }
+            }
+            "#,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn correct_translation_passes() {
+        use ph_baseline::translate::direct_translate;
+        use ph_hw::DeviceProfile;
+        let spec = two_state_spec();
+        let prog = direct_translate(&spec, &DeviceProfile::tofino());
+        let stats = check_e2e(&spec, &prog, 1, 500).unwrap();
+        assert_eq!(stats.packets, 500, "the gate spends its whole budget");
+    }
+
+    #[test]
+    fn looping_spec_does_not_pass_vacuously() {
+        use ph_baseline::translate::direct_translate;
+        use ph_hw::DeviceProfile;
+        // A spec that loops without consuming input hits the iteration
+        // budget on every packet; every packet is incomparable, so the
+        // gate must refuse instead of passing.
+        let spec = ParserSpec {
+            fields: vec![Field::fixed("h_t.ty", 4)],
+            states: vec![State {
+                name: "start".into(),
+                extracts: vec![],
+                key: vec![],
+                transitions: vec![],
+                default: NextState::State(StateId(0)),
+            }],
+            start: StateId(0),
+        };
+        let prog = direct_translate(&spec, &DeviceProfile::tofino());
+        let err = check_e2e(&spec, &prog, 1, 100).unwrap_err();
+        assert!(err.clean());
+        assert_eq!(err.stats.packets, 100);
+        assert!(err.to_string().contains("comparable"), "{err}");
+    }
+
+    #[test]
+    fn broken_program_caught() {
+        use ph_baseline::translate::direct_translate;
+        use ph_hw::DeviceProfile;
+        let spec = two_state_spec();
+        let mut prog = direct_translate(&spec, &DeviceProfile::tofino());
+        // Corrupt: flip the rule's target to reject.
+        for st in &mut prog.states {
+            for e in &mut st.entries {
+                if e.pattern.to_string() == "0111" {
+                    e.next = ph_hw::HwNext::Reject;
+                }
+            }
+        }
+        let err = check_e2e(&spec, &prog, 1, 500).unwrap_err();
+        assert!(!err.clean(), "{err}");
     }
 }

@@ -24,8 +24,9 @@
 //! 4. **Post-synthesis optimizer** ([`post`]) — §5.3: chain-state merging
 //!    and extraction splitting; varbit/width restoration is automatic
 //!    because emitted programs reference the original field table.
-//! 5. **Validation** ([`validate`]) — the Fig. 22 simulator check on random
-//!    and boundary inputs against the *original* specification.
+//! 5. **Validation** ([`fuzz::check_e2e`]) — the Fig. 22 simulator check
+//!    against the *original* specification, on [`fuzz::GATE_PACKETS`]
+//!    grammar-aware, mutated and random packets.
 //!
 //! Opt7 (parallel racing of loop-aware/loop-free skeletons and budget
 //! subproblems) lives in [`parallel`].
@@ -238,10 +239,6 @@ pub struct SynthParams {
     /// streams from it); `None` inherits the ambient [`ph_obs::current`]
     /// tracer, which is disabled unless the binary installed a global one.
     pub tracer: Option<ph_obs::Tracer>,
-    /// Packet budget for the post-verification differential fuzzing gate
-    /// ([`fuzz::check_e2e`]).  `0` (the default) disables the gate; the
-    /// Fig. 22 random check in [`validate`] always runs.
-    pub e2e_samples: usize,
     /// Synthesis-result cache.  `Some` makes [`Synthesizer::synthesize`]
     /// consult the cache before solving and store successful outputs
     /// after; `None` (the default) always synthesizes from scratch.
@@ -259,7 +256,6 @@ impl Default for SynthParams {
             spare_states: None,
             seed: 0x9aa5,
             tracer: None,
-            e2e_samples: 0,
             cache: None,
         }
     }

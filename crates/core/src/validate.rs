@@ -1,165 +1,8 @@
 //! Final validation — the Fig. 22 simulator check.
 //!
-//! Runs the compiled program and the *original* specification side by side
-//! on randomly sampled bitstreams (full length, truncated, and
-//! boundary-biased so spec constants actually appear in keys) and reports
-//! the first disagreement.  This is an independent end-to-end check of the
-//! whole pipeline: reduction, synthesis, verification and post-processing.
+//! The check is [`fuzz::check_e2e`](crate::fuzz::check_e2e), which
+//! `synthesize()` runs on every program.  This path remains only as an
+//! alias for the benchmark ledger (`ledger/src/layers.rs`), which times
+//! the check under this name.
 
-use ph_bits::{BitString, Rng};
-use ph_hw::{run_program, TcamProgram};
-use ph_ir::{analysis, simulate, ParseStatus, ParserSpec};
-
-/// Compares spec and program on `samples` sampled inputs.
-///
-/// # Errors
-///
-/// Returns a description of the first mismatching input.
-pub fn check_program_against_spec(
-    spec: &ParserSpec,
-    program: &TcamProgram,
-    seed: u64,
-    samples: usize,
-) -> Result<(), String> {
-    let mut rng = Rng::seed_from_u64(seed ^ 0xf1622);
-    let iters = 64usize;
-    let full = analysis::max_bits_consumed(spec, iters.min(24)).max(1);
-    // Samples where the spec hit its iteration budget are incomparable and
-    // skipped; a looping spec must not pass vacuously, so we demand that at
-    // least half of the requested samples were actually compared.
-    let mut effective = 0usize;
-
-    // Constants worth planting into the stream (boundary bias).
-    let constants: Vec<BitString> = spec
-        .states
-        .iter()
-        .flat_map(|st| st.transitions.iter().map(|t| t.pattern.value().clone()))
-        .collect();
-
-    for round in 0..samples {
-        // Length: mostly full, sometimes truncated.
-        let len = match round % 4 {
-            0 | 1 => full,
-            2 => rng.gen_range(0..=full),
-            _ => full + rng.gen_range(0..=16usize),
-        };
-        let mut input = BitString::zeros(len);
-        for i in 0..len {
-            input.set(i, rng.gen_bool(0.5));
-        }
-        // Plant a random spec constant at a random offset.
-        if !constants.is_empty() && len > 0 && round % 3 == 0 {
-            let c = &constants[rng.gen_range(0..constants.len())];
-            if c.len() <= len {
-                let off = rng.gen_range(0..=(len - c.len()));
-                for i in 0..c.len() {
-                    input.set(off + i, c.get(i));
-                }
-            }
-        }
-
-        let s = simulate(spec, &input, iters);
-        if s.status == ParseStatus::IterationBudget {
-            continue;
-        }
-        effective += 1;
-        let h = run_program(program, &spec.fields, &input, iters * 4);
-        if h.status == ParseStatus::IterationBudget {
-            return Err(format!("program loops on input {input}"));
-        }
-        if s.status != h.status {
-            return Err(format!(
-                "status mismatch on {input}: spec {:?}, impl {:?}",
-                s.status, h.status
-            ));
-        }
-        if s.dict != h.dict {
-            return Err(format!("dictionary mismatch on {input}"));
-        }
-    }
-    if effective * 2 < samples {
-        return Err(format!(
-            "only {effective} of {samples} samples were comparable \
-             (the spec hit its iteration budget on the rest)"
-        ));
-    }
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ph_baseline::translate::direct_translate;
-    use ph_hw::DeviceProfile;
-    use ph_p4f::parse_parser;
-
-    #[test]
-    fn correct_translation_passes() {
-        let spec = parse_parser(
-            r#"
-            header h_t { ty : 4; }
-            header a_t { v : 8; }
-            parser {
-                state start {
-                    extract(h_t);
-                    transition select(h_t.ty) { 7 : pa; default : accept; }
-                }
-                state pa { extract(a_t); transition accept; }
-            }
-            "#,
-        )
-        .unwrap();
-        let prog = direct_translate(&spec, &DeviceProfile::tofino());
-        check_program_against_spec(&spec, &prog, 1, 500).unwrap();
-    }
-
-    #[test]
-    fn looping_spec_does_not_pass_vacuously() {
-        // A spec that loops without consuming input hits the iteration
-        // budget on every sample; every sample is incomparable, so the
-        // check must report that instead of passing.
-        use ph_ir::{Field, NextState, State, StateId};
-        let spec = ph_ir::ParserSpec {
-            fields: vec![Field::fixed("h_t.ty", 4)],
-            states: vec![State {
-                name: "start".into(),
-                extracts: vec![],
-                key: vec![],
-                transitions: vec![],
-                default: NextState::State(StateId(0)),
-            }],
-            start: StateId(0),
-        };
-        let prog = direct_translate(&spec, &DeviceProfile::tofino());
-        let err = check_program_against_spec(&spec, &prog, 1, 100).unwrap_err();
-        assert!(err.contains("comparable"), "{err}");
-    }
-
-    #[test]
-    fn broken_program_caught() {
-        let spec = parse_parser(
-            r#"
-            header h_t { ty : 4; }
-            header a_t { v : 8; }
-            parser {
-                state start {
-                    extract(h_t);
-                    transition select(h_t.ty) { 7 : pa; default : accept; }
-                }
-                state pa { extract(a_t); transition accept; }
-            }
-            "#,
-        )
-        .unwrap();
-        let mut prog = direct_translate(&spec, &DeviceProfile::tofino());
-        // Corrupt: flip the rule's target to reject.
-        for st in &mut prog.states {
-            for e in &mut st.entries {
-                if e.pattern.to_string() == "0111" {
-                    e.next = ph_hw::HwNext::Reject;
-                }
-            }
-        }
-        assert!(check_program_against_spec(&spec, &prog, 1, 500).is_err());
-    }
-}
+pub use crate::fuzz::check_e2e as check_program_against_spec;

@@ -280,7 +280,6 @@ fn solver_calls_and_final_checks_are_named_spans() {
     .with_params(SynthParams {
         timeout: Some(Duration::from_secs(60)),
         tracer: Some(Tracer::new(sink.clone())),
-        e2e_samples: 64,
         ..Default::default()
     })
     .synthesize(&spec)
@@ -317,7 +316,7 @@ fn solver_calls_and_final_checks_are_named_spans() {
             "{child}: {ps:?}"
         );
     }
-    // The winning program is validated, then fuzzed end to end, once.
+    // The winning program passes one final gate, once.
     assert_eq!(parents("synth.validate").len(), 1);
-    assert_eq!(parents("synth.fuzz_e2e").len(), 1);
+    assert!(parents("synth.fuzz_e2e").is_empty());
 }

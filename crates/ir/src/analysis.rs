@@ -75,37 +75,6 @@ pub fn is_loop_free(spec: &ParserSpec) -> bool {
     dfs(spec, spec.start, &mut marks)
 }
 
-/// The longest state-visit chain from the start state, capped at `cap`
-/// (the cap also bounds loopy specs).  This is the CEGIS unrolling depth `K`.
-pub fn max_path_states(spec: &ParserSpec, cap: usize) -> usize {
-    // Depth-bounded DFS with memoization on loop-free specs; on loopy specs
-    // the cap is returned directly.
-    if !is_loop_free(spec) {
-        return cap;
-    }
-    fn depth(spec: &ParserSpec, s: StateId, memo: &mut [Option<usize>]) -> usize {
-        if let Some(d) = memo[s.0] {
-            return d;
-        }
-        let st = spec.state(s);
-        let mut best = 0usize;
-        let nexts = st
-            .transitions
-            .iter()
-            .map(|t| t.next)
-            .chain(std::iter::once(st.default));
-        for n in nexts {
-            if let NextState::State(n) = n {
-                best = best.max(depth(spec, n, memo));
-            }
-        }
-        memo[s.0] = Some(best + 1);
-        best + 1
-    }
-    let mut memo = vec![None; spec.states.len()];
-    depth(spec, spec.start, &mut memo).min(cap)
-}
-
 /// Upper bound on bits consumed from the input over at most `max_iters`
 /// state visits — the verification bitstream width.
 pub fn max_bits_consumed(spec: &ParserSpec, max_iters: usize) -> usize {
@@ -337,12 +306,6 @@ mod tests {
     fn loop_detection() {
         assert!(is_loop_free(&chain_spec(false)));
         assert!(!is_loop_free(&chain_spec(true)));
-    }
-
-    #[test]
-    fn path_depth() {
-        assert_eq!(max_path_states(&chain_spec(false), 10), 2);
-        assert_eq!(max_path_states(&chain_spec(true), 10), 10);
     }
 
     #[test]

@@ -319,7 +319,7 @@ fn alpha_variants_in_flight_get_programs_in_their_own_field_numbering() {
         let program = job.join().unwrap().unwrap().program;
         let violations = ph_hw::check_program(&program, &spec.fields);
         assert!(violations.is_empty(), "variant {i}: {violations:?}");
-        if let Err(d) = ph_core::fuzz::check_e2e(spec, &program, 7, 400) {
+        if let Err(d) = ph_core::fuzz::check_e2e(spec, &program, 7, ph_core::fuzz::GATE_PACKETS) {
             panic!("variant {i}: program diverges from its own spec: {d}");
         }
     }

@@ -4,7 +4,7 @@
 use parserhawk::baseline::{compile_dp, compile_ipu, compile_tofino};
 use parserhawk::benchmarks::packets::PacketBuilder;
 use parserhawk::benchmarks::{registry, rewrite, suite};
-use parserhawk::core::validate::check_program_against_spec;
+use parserhawk::core::fuzz::{check_e2e, GATE_PACKETS};
 use parserhawk::core::{OptConfig, SynthError, SynthParams, Synthesizer};
 use parserhawk::hw::{check_program, run_program, DeviceProfile};
 use parserhawk::ir::{simulate, ParseStatus};
@@ -79,7 +79,7 @@ fn registry_cases_compile_for_tofino_and_beat_baseline() {
             "{}",
             case.name
         );
-        check_program_against_spec(&case.spec, &out.program, 7, 300)
+        check_e2e(&case.spec, &out.program, 7, GATE_PACKETS)
             .unwrap_or_else(|e| panic!("{}: {e}", case.name));
         if let Ok(bl) = compile_tofino(&case.spec, &device) {
             assert!(
@@ -272,8 +272,11 @@ fn short_deadline_stops_a_hard_compile() {
     assert!(wall < Duration::from_secs(10), "took {wall:?}");
     match r {
         Err(SynthError::Timeout(_)) => {}
-        Ok(out) => check_program_against_spec(&b.spec, &out.program, 7, 300)
-            .unwrap_or_else(|e| panic!("best-so-far program fails validation: {e}")),
+        Ok(out) => {
+            if let Err(e) = check_e2e(&b.spec, &out.program, 7, GATE_PACKETS) {
+                panic!("best-so-far program fails validation: {e}");
+            }
+        }
         Err(e) => panic!("expected a timeout or a program, got {e}"),
     }
 }
