@@ -6,9 +6,10 @@
 //!
 //! For every registry case the oracle three-way-compares the specification
 //! simulator, the synthesized program and the baseline `direct_translate`
-//! program on grammar-aware packets (one seed per spec transition plus
-//! flip / truncate / varbit-extreme / lookahead / extend mutants and a
-//! constant-planted random tail; see `ph_core::fuzz`).  Any divergence is ddmin-shrunk and
+//! program on grammar-aware packets (seeds covering every spec transition
+//! and the first depth-first accepting paths, their flip / truncate /
+//! varbit-extreme / lookahead / extend mutants, and a constant-planted
+//! random tail; see `ph_core::fuzz`).  Any divergence is ddmin-shrunk and
 //! reported with its state paths and first differing dictionary field.
 //!
 //! Environment knobs:
@@ -114,7 +115,7 @@ fn main() {
         if corrupt {
             // Mutation testing through the gate `synthesize()` runs, at its
             // seed and budget: every flip is tried, the first caught one's
-            // shrunk witness is kept.
+            // shrunk witness is kept (the gate names its subject "synth").
             let seed = SynthParams::default().seed;
             let mut report = FuzzReport {
                 stats: Default::default(),
@@ -133,6 +134,9 @@ fn main() {
                 if caught.is_none() && !r.clean() {
                     caught = Some(what.clone());
                     report.divergences = r.divergences;
+                    for d in &mut report.divergences {
+                        d.subject = "corrupt-direct".into();
+                    }
                 }
                 report.stats.packets += r.stats.packets;
                 report.stats.seeds = r.stats.seeds;

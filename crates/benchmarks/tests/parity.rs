@@ -1,8 +1,9 @@
 //! Differential parity suite: for every benchmark in the registry, the
 //! spec simulator and the baseline `direct_translate` program must agree
-//! bit-for-bit — on full accepting-path packets, on the packet truncated
-//! at every extraction boundary, and on extended packets with trailing
-//! garbage.  This is the fuzzing oracle's generator pointed at the exact
+//! bit-for-bit — on full seed-path packets (a path through every
+//! transition, then the first depth-first accepting paths), on the packet
+//! truncated at every extraction boundary, and on extended packets with
+//! trailing garbage.  This is the fuzzing oracle's generator pointed at the exact
 //! translation, so any disagreement is a simulator/translator bug, not a
 //! synthesis bug.
 
@@ -94,11 +95,11 @@ fn registry_seeds_are_grammar_aware() {
     for case in ph_benchmarks::registry() {
         let mut rng = Rng::seed_from_u64(1);
         let seeds = seed_packets(&case.spec, &mut rng);
-        assert!(!seeds.is_empty(), "{}: no accepting-path seeds", case.name);
-        // Seeds follow planned accepting paths; some paths are
-        // unsatisfiable (re-extraction overwrites planted constants, so
-        // loop unrollings can conflict), but every case must materialize
-        // at least one genuinely accepting packet.
+        assert!(!seeds.is_empty(), "{}: no seeds", case.name);
+        // Seeds follow planned paths, rejecting ones among them; some
+        // paths are unsatisfiable (re-extraction overwrites planted
+        // constants, so loop unrollings can conflict), but every case must
+        // materialize at least one genuinely accepting packet.
         let accepting = seeds
             .iter()
             .filter(|s| simulate(&case.spec, &s.bits, 64).status == ParseStatus::Accept)

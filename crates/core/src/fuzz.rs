@@ -8,10 +8,11 @@
 //! varbit length extremes, one transition among dozens) that uniform
 //! sampling almost never hits, so packets are generated *grammar-aware*,
 //! in the manner of P4Testgen's path-based test generation: the oracle
-//! selects one path through every transition of the specification's
-//! transition graph, materializes each into a seed packet by planting the
-//! chosen transition patterns' care bits, and derives mutants from every
-//! seed:
+//! selects paths through the specification's transition graph — one
+//! through every transition, then the first depth-first accepting paths,
+//! which unroll loops — materializes each into a seed packet by planting
+//! the chosen transition patterns' care bits, and derives mutants from
+//! every seed:
 //!
 //! * **flip** — each planted constant bit flipped, so near-miss keys are
 //!   exercised;
@@ -52,18 +53,26 @@ pub const GATE_PACKETS: usize = 400;
 /// Cap on planted-bit flip mutants per seed packet.
 const MAX_FLIPS: usize = 64;
 
+/// Cap on depth-first accepting seed paths (the transition cover comes on
+/// top of them).
+const MAX_PATHS: usize = 64;
+
+/// States on a depth-first seed path; loopy specs unroll up to it.
+const MAX_DEPTH: usize = 12;
+
+/// Random packets of an unbounded run (under a packet budget the random
+/// class gets a quarter of it, plus whatever the grammar classes leave).
+const RANDOM_PACKETS: usize = 64;
+
+/// Spec-side iteration budget (programs get four times as many).
+const ITERS: usize = 64;
+
 /// Knobs of a fuzzing run.  The defaults are sized for one benchmark case;
 /// `packet_budget` is the overall scale lever.
 #[derive(Clone, Debug)]
 pub struct FuzzConfig {
     /// Seed for free-bit filling, random packets and mutant sampling.
     pub seed: u64,
-    /// Random packets after the grammar-aware classes.  Under a packet
-    /// budget this is the share reserved for them; they also fill
-    /// whatever the grammar-aware classes leave.
-    pub random_samples: usize,
-    /// Spec-side iteration budget (programs get four times as many).
-    pub iters: usize,
     /// ddmin-shrink divergences before reporting them.
     pub shrink: bool,
     /// Stop after this many divergences have been reported.
@@ -76,8 +85,6 @@ impl Default for FuzzConfig {
     fn default() -> Self {
         FuzzConfig {
             seed: 0x9aa5,
-            random_samples: 64,
-            iters: 64,
             shrink: true,
             max_divergences: 8,
             packet_budget: 0,
@@ -182,7 +189,7 @@ ph_obs::stats! {
     /// Aggregate counters of one fuzzing run.
     #[derive(Clone, Copy, Debug, Default)]
     pub struct FuzzStats {
-        /// Seed packets, one per path through a spec transition.
+        /// Seed packets, one per seed path.
         seeds: u64 = "seeds",
         /// Packets compared (per program pair).
         packets: u64 = "packets",
@@ -266,7 +273,7 @@ type PathStep = (StateId, Option<usize>);
 
 /// The transitions out of `st` as `(choice, target)` pairs: the pattern
 /// transitions in order, then the default.
-fn choices(st: &State) -> impl Iterator<Item = (Option<usize>, NextState)> + '_ {
+fn choices(st: &State) -> impl DoubleEndedIterator<Item = (Option<usize>, NextState)> + '_ {
     st.transitions
         .iter()
         .enumerate()
@@ -274,11 +281,14 @@ fn choices(st: &State) -> impl Iterator<Item = (Option<usize>, NextState)> + '_ 
         .chain(std::iter::once((None, st.default)))
 }
 
-/// Selects the seed paths of `spec`: one through every transition
-/// reachable from the start state — the shortest prefix to its state, the
-/// transition, then the shortest way to `Accept` (or to `Reject` where no
-/// accept is reachable).  A loop's back edge is thus taken once; deeper
-/// iterations are left to the random class.
+/// Selects the seed paths of `spec`, each ending in `Accept` or `Reject`.
+///
+/// First one path through every transition reachable from the start
+/// state: the shortest prefix to its state, the transition, then the
+/// shortest way to `Accept` (or to `Reject` where no accept is reachable).
+/// Then the first [`MAX_PATHS`] depth-first accepting paths of at most
+/// [`MAX_DEPTH`] states, in transition order, so that loops are unrolled
+/// and branches combined across states.
 fn seed_paths(spec: &ParserSpec) -> Vec<Vec<PathStep>> {
     let n = spec.states.len();
     // Shortest prefixes: breadth-first from the start state.
@@ -333,6 +343,28 @@ fn seed_paths(spec: &ParserSpec) -> Vec<Vec<PathStep>> {
             if !matches!(next, NextState::State(_)) && !out.contains(&path) {
                 out.push(path);
             }
+        }
+    }
+
+    let mut accepting = 0;
+    let mut stack = vec![(Vec::new(), NextState::State(spec.start))];
+    while let Some((path, next)) = stack.pop() {
+        match next {
+            NextState::State(s) if path.len() < MAX_DEPTH => {
+                for (c, n) in choices(spec.state(s)).rev() {
+                    let mut p = path.clone();
+                    p.push((s, c));
+                    stack.push((p, n));
+                }
+            }
+            NextState::Accept if accepting == MAX_PATHS => break,
+            NextState::Accept => {
+                accepting += 1;
+                if !out.contains(&path) {
+                    out.push(path);
+                }
+            }
+            _ => {}
         }
     }
 
@@ -550,14 +582,13 @@ fn compare_one(
     subject: &str,
     program: &TcamProgram,
     input: &BitString,
-    iters: usize,
     generator: &'static str,
 ) -> Outcome {
-    let s = simulate(spec, input, iters);
+    let s = simulate(spec, input, ITERS);
     if s.status == ParseStatus::IterationBudget {
         return Outcome::Incomparable;
     }
-    let h = run_program(program, &spec.fields, input, iters * 4);
+    let h = run_program(program, &spec.fields, input, ITERS * 4);
     let make = |kind, s: &SimResult, h: &SimResult, first_diff: Option<String>| {
         Outcome::Diverged(Box::new(Divergence {
             subject: subject.to_string(),
@@ -589,14 +620,9 @@ fn compare_one(
 }
 
 /// True when `input` still makes `program` diverge from `spec` (any kind).
-fn still_diverges(
-    spec: &ParserSpec,
-    program: &TcamProgram,
-    input: &BitString,
-    iters: usize,
-) -> bool {
+fn still_diverges(spec: &ParserSpec, program: &TcamProgram, input: &BitString) -> bool {
     matches!(
-        compare_one(spec, "", program, input, iters, "shrink"),
+        compare_one(spec, "", program, input, "shrink"),
         Outcome::Diverged(_)
     )
 }
@@ -609,7 +635,6 @@ pub fn ddmin(
     spec: &ParserSpec,
     program: &TcamProgram,
     input: &BitString,
-    iters: usize,
     max_trials: u64,
     steps: &mut u64,
 ) -> BitString {
@@ -629,7 +654,7 @@ pub fn ddmin(
                 let end = (start + chunk).min(cur.len());
                 let cand = cur.slice(0, start).concat(&cur.slice(end, cur.len()));
                 *steps += 1;
-                if !cand.is_empty() && still_diverges(spec, program, &cand, iters) {
+                if !cand.is_empty() && still_diverges(spec, program, &cand) {
                     cur = cand;
                     n = n.saturating_sub(1).max(2);
                     continue 'outer;
@@ -651,7 +676,7 @@ pub fn ddmin(
                 let mut cand = cur.clone();
                 cand.set(i, false);
                 *steps += 1;
-                if still_diverges(spec, program, &cand, iters) {
+                if still_diverges(spec, program, &cand) {
                     cur = cand;
                 }
             }
@@ -667,9 +692,9 @@ pub fn ddmin(
 /// (a quarter) and extended by up to 16 bits (a quarter), every third
 /// with a spec constant planted at a random offset so that random keys
 /// hit transitions too.  The stream depends only on the seed and the spec.
-fn random_packets(spec: &ParserSpec, cfg: &FuzzConfig) -> impl Iterator<Item = BitString> {
-    let mut rng = Rng::seed_from_u64(cfg.seed ^ 0xf1622);
-    let full = analysis::max_bits_consumed(spec, cfg.iters.min(24)).max(1);
+fn random_packets(spec: &ParserSpec, seed: u64) -> impl Iterator<Item = BitString> {
+    let mut rng = Rng::seed_from_u64(seed ^ 0xf1622);
+    let full = analysis::max_bits_consumed(spec, 24).max(1);
     let constants: Vec<BitString> = spec
         .states
         .iter()
@@ -723,17 +748,17 @@ pub fn fuzz(spec: &ParserSpec, programs: &[(&str, &TcamProgram)], cfg: &FuzzConf
                     return false;
                 }
                 stats.packets += 1;
-                match compare_one(spec, name, program, input, cfg.iters, generator) {
+                match compare_one(spec, name, program, input, generator) {
                     Outcome::Agree => {}
                     Outcome::Incomparable => stats.incomparable += 1,
                     Outcome::Diverged(mut d) => {
                         if cfg.shrink {
                             let mut steps = 0u64;
-                            let small = ddmin(spec, program, input, cfg.iters, 2000, &mut steps);
+                            let small = ddmin(spec, program, input, 2000, &mut steps);
                             // Re-derive the report on the minimal input so
                             // the paths/statuses describe what is shipped.
                             if let Outcome::Diverged(sd) =
-                                compare_one(spec, name, program, &small, cfg.iters, generator)
+                                compare_one(spec, name, program, &small, generator)
                             {
                                 d = sd;
                             }
@@ -748,9 +773,17 @@ pub fn fuzz(spec: &ParserSpec, programs: &[(&str, &TcamProgram)], cfg: &FuzzConf
             true
         };
 
+    // The random class: a quarter of a budget is reserved for it and it
+    // fills whatever the grammar classes leave; unbounded runs get
+    // `RANDOM_PACKETS` of it.
+    let (reserved, random_rounds) = match cfg.packet_budget {
+        0 => (0, RANDOM_PACKETS),
+        b => (b / 4, b),
+    };
+
     // Round k runs every seed's k-th packet, so each seed's path packet
     // runs before any seed's second mutant.
-    let grammar_budget = budget.saturating_sub(cfg.random_samples);
+    let grammar_budget = budget - reserved;
     let batches: Vec<_> = seeds.iter().map(|s| mutants(s, &mut rng)).collect();
     let rounds = batches.iter().map(Vec::len).max().unwrap_or(0);
     'grammar: for k in 0..rounds {
@@ -762,14 +795,7 @@ pub fn fuzz(spec: &ParserSpec, programs: &[(&str, &TcamProgram)], cfg: &FuzzConf
         }
     }
 
-    // The random class: `random_samples` packets, or under a budget all
-    // that it leaves.
-    let random_rounds = if cfg.packet_budget == 0 {
-        cfg.random_samples
-    } else {
-        budget
-    };
-    for input in random_packets(spec, cfg).take(random_rounds) {
+    for input in random_packets(spec, cfg.seed).take(random_rounds) {
         if !run_input("random", &input, &mut stats) {
             break;
         }
@@ -780,8 +806,8 @@ pub fn fuzz(spec: &ParserSpec, programs: &[(&str, &TcamProgram)], cfg: &FuzzConf
 }
 
 /// The final gate of `synthesize()` (at [`GATE_PACKETS`]): runs the
-/// oracle on `program` alone with a budget of `packets`, a quarter of it
-/// reserved for the random class, and stops at the first divergence.
+/// oracle on `program` alone with a budget of `packets` and stops at the
+/// first divergence.
 ///
 /// # Errors
 ///
@@ -796,7 +822,6 @@ pub fn check_e2e(
 ) -> Result<FuzzStats, Box<FuzzReport>> {
     let cfg = FuzzConfig {
         seed,
-        random_samples: packets / 4,
         max_divergences: 1,
         packet_budget: packets,
         ..FuzzConfig::default()
@@ -930,7 +955,7 @@ mod tests {
         assert_eq!(d.kind, DivergenceKind::Status);
         assert!(!d.spec_path.is_empty());
         // Report reproduces.
-        assert!(still_diverges(&spec, &prog, &d.input, 64));
+        assert!(still_diverges(&spec, &prog, &d.input));
     }
 
     #[test]
