@@ -11,26 +11,27 @@
 //!   `table*` documents need a `rows` array whose embedded `stats`
 //!   objects decode as a `SynthStats`: the required keys are the
 //!   declaration's, so a new counter is required as soon as it is
-//!   declared; `profile` documents (from
-//!   `trace_prof`) need the span/cegis breakdown; `bench_diff` documents
-//!   need the per-run comparison rows (key, verdict, notes), the unmatched
-//!   runs and the overall verdict.  A `.json` file carrying a top-level
-//!   `cache_version` instead is a `ph-svc` result-cache entry
-//!   (`$PH_CACHE_DIR/<key>.json`) and is validated against the cache
-//!   entry shape for that version.
-//! * `.jsonl` — a `PH_TRACE` trace: every line must parse as one JSON
-//!   object with a `t_ns` stamp, stamps must be monotone non-decreasing,
-//!   and span enter/exit events must balance (every exit matches an open
-//!   enter of the same name; nothing left open at the end).
+//!   declared; `profile` documents (from `trace_prof`) need the span
+//!   table; `bench_diff` documents need the per-run comparison rows (key,
+//!   verdict, notes), the unmatched runs and the overall verdict.  A
+//!   `.json` file carrying a top-level `cache_version` instead is a
+//!   `ph-svc` result-cache entry (`$PH_CACHE_DIR/<key>.json`): its
+//!   program and stats must decode with the decoders a cache hit runs.
+//! * `.jsonl` — a `PH_TRACE` trace: it must fold through
+//!   `ph_obs::profile::Profiler` without a warning — every line one JSON
+//!   event of a known kind with its fields and a `t_ns` stamp, stamps
+//!   monotone non-decreasing, every exit matching an open enter of the
+//!   same name, nothing left open at the end.
 //!
 //! Exits non-zero with a per-file diagnostic on the first violation, so CI
 //! can gate on it.
 
 use ph_bench::report::SCHEMA_VERSION;
 use ph_core::SynthStats;
+use ph_obs::profile::profile_str;
 use ph_obs::{Histogram, Json, StatValue};
+use ph_svc::codec::program_from_json;
 use ph_svc::CACHE_FORMAT_VERSION;
-use std::collections::HashMap;
 
 fn fail(file: &str, msg: String) -> ! {
     eprintln!("check_schema: {file}: {msg}");
@@ -185,53 +186,9 @@ fn check_profile(file: &str, doc: &Json) {
             fail(file, format!("profile.{key} missing or not an object"));
         }
     }
-    let Some(c) = p.get("cegis") else {
-        fail(file, "missing object field \"profile.cegis\"".into());
-    };
-    for key in [
-        "runs",
-        "iters",
-        "total_ns",
-        "synth_ns",
-        "verify_ns",
-        "shrink_ns",
-        "assume_ns",
-        "simplify_ns",
-        "other_ns",
-    ] {
-        if c.get(key).and_then(Json::as_i64).is_none() {
-            fail(
-                file,
-                format!("profile.cegis.{key} missing or not an integer"),
-            );
-        }
-    }
-    if c.get("coverage_pct").and_then(Json::as_f64).is_none() {
-        fail(
-            file,
-            "profile.cegis.coverage_pct missing or not a number".into(),
-        );
-    }
-    let Some(per_iter) = c.get("per_iter").and_then(Json::as_arr) else {
-        fail(
-            file,
-            "profile.cegis.per_iter missing or not an array".into(),
-        );
-    };
-    for (i, it) in per_iter.iter().enumerate() {
-        for key in ["total_ns", "synth_ns", "verify_ns", "simplify_ns"] {
-            if it.get(key).and_then(Json::as_i64).is_none() {
-                fail(
-                    file,
-                    format!("profile.cegis.per_iter[{i}].{key} missing or not an integer"),
-                );
-            }
-        }
-    }
     println!(
-        "check_schema: {file}: ok (profile: {} span names, {} iterations)",
-        spans.len(),
-        per_iter.len()
+        "check_schema: {file}: ok (profile: {} span names)",
+        spans.len()
     );
 }
 
@@ -305,8 +262,12 @@ fn check_cache_entry(file: &str, doc: &Json) {
             fail(file, format!("provenance.{k} missing or not a string"));
         }
     }
-    if doc.get("program").and_then(Json::as_obj).is_none() {
-        fail(file, "program missing or not an object".into());
+    // The decoders a cache hit runs.
+    let Some(program) = doc.get("program") else {
+        fail(file, "missing field \"program\"".into());
+    };
+    if let Err(e) = program_from_json(program) {
+        fail(file, format!("program: {e}"));
     }
     let stats = check_stats(file, doc, &[]);
     if stats != 1 {
@@ -369,93 +330,23 @@ fn check_results(file: &str, text: &str) {
     );
 }
 
+/// A trace validates when the profiler folds it without a warning.
 fn check_trace(file: &str, text: &str) {
-    let mut last_t = 0u64;
-    // Open spans: id -> name.
-    let mut open: HashMap<i64, String> = HashMap::new();
-    let mut events = 0usize;
-    for (lineno, line) in text.lines().enumerate() {
-        let n = lineno + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let ev = match Json::parse(line) {
-            Ok(v) => v,
-            Err(e) => fail(file, format!("line {n}: not valid JSON: {e}")),
-        };
-        events += 1;
-        let Some(t) = ev.get("t_ns").and_then(Json::as_i64) else {
-            fail(file, format!("line {n}: missing t_ns"));
-        };
-        if (t as u64) < last_t {
-            fail(
-                file,
-                format!("line {n}: t_ns {t} goes backwards (previous {last_t})"),
-            );
-        }
-        last_t = t as u64;
-        let Some(kind) = ev.get("ev").and_then(Json::as_str) else {
-            fail(file, format!("line {n}: missing ev"));
-        };
-        match kind {
-            "enter" => {
-                let (Some(id), Some(span)) = (
-                    ev.get("id").and_then(Json::as_i64),
-                    ev.get("span").and_then(Json::as_str),
-                ) else {
-                    fail(file, format!("line {n}: enter without id/span"));
-                };
-                if open.insert(id, span.to_string()).is_some() {
-                    fail(file, format!("line {n}: span id {id} entered twice"));
-                }
-            }
-            "exit" => {
-                let (Some(id), Some(span)) = (
-                    ev.get("id").and_then(Json::as_i64),
-                    ev.get("span").and_then(Json::as_str),
-                ) else {
-                    fail(file, format!("line {n}: exit without id/span"));
-                };
-                match open.remove(&id) {
-                    Some(entered) if entered == span => {}
-                    Some(entered) => fail(
-                        file,
-                        format!("line {n}: exit of {span:?} closes span entered as {entered:?}"),
-                    ),
-                    None => fail(
-                        file,
-                        format!("line {n}: exit of {span:?} was never entered"),
-                    ),
-                }
-            }
-            "count" | "gauge" | "record" => {
-                if ev.get("name").and_then(Json::as_str).is_none() {
-                    fail(file, format!("line {n}: {kind} without name"));
-                }
-            }
-            "hist" => {
-                if ev.get("name").and_then(Json::as_str).is_none() {
-                    fail(file, format!("line {n}: hist without name"));
-                }
-                check_hist(file, &format!("line {n}: hist"), &ev);
-            }
-            "msg" => {
-                if ev.get("text").and_then(Json::as_str).is_none() {
-                    fail(file, format!("line {n}: msg without text"));
-                }
-            }
-            other => fail(file, format!("line {n}: unknown ev {other:?}")),
-        }
-    }
-    if !open.is_empty() {
-        let mut names: Vec<&str> = open.values().map(String::as_str).collect();
-        names.sort_unstable();
+    let p = profile_str(text);
+    if p.warning_count > 0 {
         fail(
             file,
-            format!("{} spans never exited: {names:?}", open.len()),
+            format!(
+                "{} problems:\n  {}",
+                p.warning_count,
+                p.warnings.join("\n  ")
+            ),
         );
     }
-    println!("check_schema: {file}: ok ({events} events, monotone, balanced)");
+    println!(
+        "check_schema: {file}: ok ({} events, monotone, balanced)",
+        p.events
+    );
 }
 
 fn main() {

@@ -21,8 +21,9 @@ use std::time::Duration;
 /// variable in [`Config::KNOWN`].
 #[derive(Clone, Debug)]
 pub struct Config {
-    /// `PH_TRACE`: `summary` prints messages live and an aggregate table at
-    /// exit; any other non-empty value is the path of a JSON-lines trace.
+    /// `PH_TRACE`: `summary` prints messages live and the span profile
+    /// (`trace_prof`'s table) at exit; any other non-empty value is the
+    /// path of a JSON-lines trace.
     /// Empty disables tracing.
     pub trace: String,
     /// `PH_TRACE_LEVEL`: message verbosity, `error` to `trace`.

@@ -3,7 +3,9 @@
 //! `check_schema` must accept the committed `results/table{3,4,5}.json`
 //! but reject a copy missing one declared stats key, and `bench_diff` must pass the Table 3 baseline against itself but fail
 //! it against a copy with one more TCAM entry, or with one `ok` run timed
-//! out at the same budget.
+//! out at the same budget.  `check_schema` must also accept a well-formed
+//! trace and the golden cache entry, and reject each trace defect and an
+//! entry whose program names a state that does not exist.
 
 use ph_obs::Json;
 use std::path::{Path, PathBuf};
@@ -134,5 +136,96 @@ fn committed_baselines_pass_the_gate_and_mutants_fail_it() {
     );
     assert!(out.contains("times out (same budget)"), "{out}");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A trace with every event kind, spans nested two deep.
+const GOOD_TRACE: &[&str] = &[
+    r#"{"t_ns":0,"ev":"enter","span":"a","id":1}"#,
+    r#"{"t_ns":10,"ev":"enter","span":"b","id":2,"parent":1}"#,
+    r#"{"t_ns":20,"ev":"count","name":"k","delta":3}"#,
+    r#"{"t_ns":30,"ev":"gauge","name":"g","value":7}"#,
+    r#"{"t_ns":40,"ev":"record","name":"r","value":5}"#,
+    r#"{"t_ns":50,"ev":"msg","level":"info","text":"hi"}"#,
+    r#"{"t_ns":60,"ev":"exit","span":"b","id":2,"dur_ns":50}"#,
+    r#"{"t_ns":70,"ev":"exit","span":"a","id":1,"dur_ns":70}"#,
+];
+
+#[test]
+fn check_schema_accepts_a_trace_and_rejects_each_defect() {
+    let dir = std::env::temp_dir().join(format!("ph-gate-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let check = |name: &str, lines: &[&str]| {
+        let path = dir.join(format!("{name}.jsonl"));
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        run(env!("CARGO_BIN_EXE_check_schema"), &[&path], &dir)
+    };
+    let (code, out) = check("good", GOOD_TRACE);
+    assert_eq!(code, 0, "a well-formed trace must pass:\n{out}");
+
+    // Each defect: the line index it replaces (or appends at the end) and
+    // the replacement (none drops the line).
+    let defects: &[(&str, usize, Option<&str>)] = &[
+        ("truncated", 2, Some(r#"{"t_ns":20,"ev":"count","na"#)),
+        (
+            "backwards",
+            3,
+            Some(r#"{"t_ns":5,"ev":"gauge","name":"g","value":7}"#),
+        ),
+        (
+            "orphan_exit",
+            8,
+            Some(r#"{"t_ns":80,"ev":"exit","span":"c","id":9,"dur_ns":1}"#),
+        ),
+        ("open_at_eof", 7, None),
+        (
+            "unknown_ev",
+            4,
+            Some(r#"{"t_ns":40,"ev":"wat","name":"r"}"#),
+        ),
+        (
+            "msg_without_text",
+            5,
+            Some(r#"{"t_ns":50,"ev":"msg","level":"info"}"#),
+        ),
+    ];
+    for &(name, at, line) in defects {
+        let mut lines = GOOD_TRACE.to_vec();
+        match line {
+            Some(l) if at == lines.len() => lines.push(l),
+            Some(l) => lines[at] = l,
+            None => {
+                lines.remove(at);
+            }
+        }
+        let (code, out) = check(name, &lines);
+        assert_eq!(
+            code, 1,
+            "{name}: check_schema must reject the trace:\n{out}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn check_schema_decodes_cache_entry_programs() {
+    let dir = std::env::temp_dir().join(format!("ph-gate-entry-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let golden =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../svc/tests/golden/parse_ethernet.entry.json");
+    let (code, out) = run(env!("CARGO_BIN_EXE_check_schema"), &[&golden], &dir);
+    assert_eq!(code, 0, "the golden cache entry must pass:\n{out}");
+
+    let text = std::fs::read_to_string(&golden).expect("golden entry");
+    let mut doc = Json::parse(&text).expect("golden entry parses");
+    let Some(Json::Arr(entries)) = first_block(&mut doc, "entries") else {
+        panic!("golden entry has no entries array");
+    };
+    entries[0].set("next", 99i64);
+    let bad = dir.join("bad_next.json");
+    std::fs::write(&bad, doc.to_pretty()).unwrap();
+    let (code, out) = run(env!("CARGO_BIN_EXE_check_schema"), &[&bad], &dir);
+    assert_eq!(code, 1, "a next state out of range must fail:\n{out}");
+    assert!(out.contains("out of range"), "{out}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -514,55 +514,69 @@ pub fn seed_packets(spec: &ParserSpec, rng: &mut Rng) -> Vec<SeedPacket> {
 /// Derives the mutant packets of one seed, tagged with their generator
 /// class.
 pub fn mutants(seed: &SeedPacket, rng: &mut Rng) -> Vec<(&'static str, BitString)> {
-    let mut out: Vec<(&'static str, BitString)> = Vec::new();
+    mutant_stream(seed, rng).collect()
+}
+
+/// [`mutants`], built one packet at a time as the caller pulls them.  The
+/// `extend` mutant's random tail is drawn here, so `rng` advances the same
+/// however much of the stream is consumed.
+fn mutant_stream<'a>(
+    seed: &'a SeedPacket,
+    rng: &mut Rng,
+) -> impl Iterator<Item = (&'static str, BitString)> + 'a {
     let b = &seed.bits;
-    out.push(("path", b.clone()));
+    let tail: Vec<bool> = (0..16).map(|_| rng.gen_bool(0.5)).collect();
+    let path = std::iter::once_with(move || ("path", b.clone()));
 
     // Flip each planted constant bit (near-miss keys).
-    for &p in seed.planted.iter().take(MAX_FLIPS) {
+    let flips = seed.planted.iter().take(MAX_FLIPS).map(move |&p| {
         let mut m = b.clone();
         m.set(p, !m.get(p));
-        out.push(("flip", m));
-    }
+        ("flip", m)
+    });
 
     // Truncate at (and one bit before) every extraction boundary.
-    for &cut in &seed.boundaries {
-        if cut <= b.len() {
-            out.push(("truncate", b.slice(0, cut)));
-        }
-        if cut >= 1 && cut - 1 <= b.len() {
-            out.push(("truncate", b.slice(0, cut - 1)));
-        }
-    }
+    let truncations = seed.boundaries.iter().flat_map(move |&cut| {
+        [Some(cut), cut.checked_sub(1)]
+            .into_iter()
+            .flatten()
+            .filter(move |&c| c <= b.len())
+            .map(move |c| ("truncate", b.slice(0, c)))
+    });
 
     // Varbit control extremes: all-zeros (length offset only) and all-ones
     // (clamped to the declared maximum).
-    for &(s, e) in &seed.control_ranges {
-        let mut zero = b.clone();
-        let mut ones = b.clone();
-        for i in s..e.min(b.len()) {
-            zero.set(i, false);
-            ones.set(i, true);
-        }
-        out.push(("ctrl-extreme", zero));
-        out.push(("ctrl-extreme", ones));
-    }
+    let extremes = seed.control_ranges.iter().flat_map(move |&(s, e)| {
+        [false, true].into_iter().map(move |bit| {
+            let mut m = b.clone();
+            for i in s..e.min(b.len()) {
+                m.set(i, bit);
+            }
+            ("ctrl-extreme", m)
+        })
+    });
 
     // Lengths that leave a lookahead window partially past the end.
-    for &cut in &seed.lookahead_probes {
-        if cut < b.len() {
-            out.push(("lookahead", b.slice(0, cut)));
-        }
-    }
+    let lookaheads = seed
+        .lookahead_probes
+        .iter()
+        .filter(move |&&cut| cut < b.len())
+        .map(move |&cut| ("lookahead", b.slice(0, cut)));
 
     // Random bits appended past the seed's length.
-    let mut ext = b.clone();
-    for _ in 0..16 {
-        ext.push(rng.gen_bool(0.5));
-    }
-    out.push(("extend", ext));
+    let extend = std::iter::once_with(move || {
+        let mut ext = b.clone();
+        for bit in tail {
+            ext.push(bit);
+        }
+        ("extend", ext)
+    });
 
-    out
+    path.chain(flips)
+        .chain(truncations)
+        .chain(extremes)
+        .chain(lookaheads)
+        .chain(extend)
 }
 
 // ---------------------------------------------------------------------------
@@ -782,13 +796,16 @@ pub fn fuzz(spec: &ParserSpec, programs: &[(&str, &TcamProgram)], cfg: &FuzzConf
     };
 
     // Round k runs every seed's k-th packet, so each seed's path packet
-    // runs before any seed's second mutant.
+    // runs before any seed's second mutant; a mutant is built only when its
+    // round comes.
     let grammar_budget = budget - reserved;
-    let batches: Vec<_> = seeds.iter().map(|s| mutants(s, &mut rng)).collect();
-    let rounds = batches.iter().map(Vec::len).max().unwrap_or(0);
-    'grammar: for k in 0..rounds {
-        for (generator, input) in batches.iter().filter_map(|b| b.get(k)) {
-            if stats.packets as usize >= grammar_budget || !run_input(generator, input, &mut stats)
+    let mut streams: Vec<_> = seeds.iter().map(|s| mutant_stream(s, &mut rng)).collect();
+    let mut live = true;
+    'grammar: while live {
+        live = false;
+        for (generator, input) in streams.iter_mut().filter_map(|s| s.next()) {
+            live = true;
+            if stats.packets as usize >= grammar_budget || !run_input(generator, &input, &mut stats)
             {
                 break 'grammar;
             }

@@ -116,13 +116,6 @@ fn synthesis_trace_is_wellformed_jsonl() {
                 assert!(ev.get("name").and_then(Json::as_str).is_some());
                 assert!(ev.get("value").and_then(Json::as_i64).is_some());
             }
-            "hist" => {
-                // Flush-time summary: name plus the percentile block.
-                assert!(ev.get("name").and_then(Json::as_str).is_some());
-                for key in ["count", "min", "max", "mean", "p50", "p90", "p99"] {
-                    assert!(ev.get(key).is_some(), "hist event missing {key}: {line}");
-                }
-            }
             "gauge" | "msg" => {}
             other => panic!("line {}: unknown event kind {other:?}", i + 1),
         }

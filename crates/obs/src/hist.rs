@@ -11,12 +11,10 @@
 //! per-case histograms roll up into one distribution
 //! ([`Histogram::merge`], tested for associativity).
 //!
-//! The tracer records every span's duration into a histogram named after
-//! the span ([`crate::Tracer::span`]) and arbitrary values via
-//! [`crate::Tracer::record`]; [`crate::Tracer::flush`] emits one summary
-//! event per name so traces and summary tables carry p50/p90/p99 without
-//! any offline pass.  The same type backs the per-run query-latency
-//! histograms in `SynthStats` and the offline trace profiler.
+//! The span profiler ([`crate::profile::Profiler`]) folds every span's
+//! duration into a histogram named after the span, and the samples of
+//! [`crate::Tracer::record`] into one per record name.  The same type
+//! backs the per-run query-latency histograms in `SynthStats`.
 
 /// Sub-buckets per power-of-two range; also the size of the exact region.
 /// Must be a power of two.

@@ -18,10 +18,19 @@
 //!
 //! Events flow into a pluggable [`Sink`]: [`NoopSink`] (enabled but
 //! silent, for overhead measurement), [`JsonlSink`] (machine-readable
-//! JSON lines), [`SummarySink`] (human-readable aggregate), or
-//! [`MemorySink`] (tests).  A *disabled* tracer ([`Tracer::disabled`])
-//! short-circuits before constructing any event — one branch on an
-//! `Option` — so instrumented code costs nothing when tracing is off.
+//! JSON lines), [`SummarySink`] (live messages, then the span profile at
+//! flush), or [`MemorySink`] (tests).  A *disabled* tracer
+//! ([`Tracer::disabled`]) short-circuits before constructing any event —
+//! one branch on an `Option` — so instrumented code costs nothing when
+//! tracing is off.
+//!
+//! The tracer itself aggregates nothing.  [`profile::Profiler`] is the one
+//! fold of an event stream: per-name and per-path span calls, total and
+//! self time, duration histograms, counters, gauges and `record`
+//! distributions.  It takes typed [`Event`]s live ([`SummarySink`]) or
+//! JSONL lines from a trace file (`trace_prof`, `check_schema`, the
+//! benchmark ledger), so every export of a run comes from the same
+//! numbers.
 //!
 //! ## Wiring
 //!
@@ -60,14 +69,13 @@ pub mod stats;
 
 pub use hist::Histogram;
 pub use json::{Json, JsonError};
-pub use sink::{JsonlSink, MemorySink, NoopSink, OwnedEvent, Sink, Summary, SummarySink};
+pub use sink::{JsonlSink, MemorySink, NoopSink, OwnedEvent, Sink, SummarySink};
 pub use stats::StatValue;
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Message severity, most severe first.
@@ -155,22 +163,12 @@ pub enum EventKind<'a> {
         /// Text.
         text: &'a str,
     },
-    /// An explicit histogram sample ([`Tracer::record`]); span durations
-    /// are recorded too but not re-emitted (the exit event already
-    /// carries `dur_ns`).
+    /// A sample of a named distribution ([`Tracer::record`]).
     Record {
-        /// Histogram name.
+        /// Distribution name.
         name: &'a str,
         /// The sample.
         value: u64,
-    },
-    /// A histogram summary, emitted once per recorded name at
-    /// [`Tracer::flush`].
-    Hist {
-        /// Histogram name (span name or [`Tracer::record`] name).
-        name: &'a str,
-        /// The aggregated distribution.
-        hist: &'a hist::Histogram,
     },
 }
 
@@ -198,25 +196,6 @@ struct Inner {
     sink: Arc<dyn Sink>,
     branch: Option<String>,
     verbosity: Level,
-    /// Per-name latency/value histograms, shared across branch and
-    /// verbosity clones so one run's spans aggregate into one registry.
-    hists: Arc<Mutex<BTreeMap<String, hist::Histogram>>>,
-}
-
-impl Inner {
-    /// Records a sample into the shared histogram registry.
-    fn record_hist(&self, name: &str, value: u64) {
-        if let Ok(mut h) = self.hists.lock() {
-            match h.get_mut(name) {
-                Some(hist) => hist.record(value),
-                None => {
-                    let mut hist = hist::Histogram::new();
-                    hist.record(value);
-                    h.insert(name.to_string(), hist);
-                }
-            }
-        }
-    }
 }
 
 /// A handle that emits events into a sink, or does nothing when disabled.
@@ -260,7 +239,6 @@ impl Tracer {
                 sink,
                 branch: None,
                 verbosity: Level::Info,
-                hists: Arc::new(Mutex::new(BTreeMap::new())),
             })),
         }
     }
@@ -272,7 +250,6 @@ impl Tracer {
                 sink: inner.sink.clone(),
                 branch: inner.branch.clone(),
                 verbosity,
-                hists: inner.hists.clone(),
             }));
         }
         self
@@ -288,7 +265,6 @@ impl Tracer {
                     sink: inner.sink.clone(),
                     branch: Some(branch.to_string()),
                     verbosity: inner.verbosity,
-                    hists: inner.hists.clone(),
                 })),
             },
         }
@@ -372,41 +348,19 @@ impl Tracer {
         }
     }
 
-    /// Records a sample into the named histogram (and emits a `record`
-    /// event so raw values survive into traces).  Span durations are
-    /// recorded automatically under the span's name; use this for
-    /// non-duration distributions (per-query conflicts, clause counts).
+    /// Emits a `record` event: one sample of a named non-duration
+    /// distribution (per-query conflicts, clause counts).  The profile
+    /// ([`profile::Profiler`]) folds the samples, and span durations, into
+    /// histograms.
     pub fn record(&self, name: &str, value: u64) {
         if let Some(inner) = &self.inner {
-            inner.record_hist(name, value);
             self.emit(inner, EventKind::Record { name, value });
         }
     }
 
-    /// A copy of every histogram recorded so far (span durations in
-    /// nanoseconds plus explicit [`Tracer::record`] series), keyed by
-    /// name.  Shared across branch clones of this tracer.
-    pub fn hist_snapshot(&self) -> BTreeMap<String, hist::Histogram> {
-        match &self.inner {
-            Some(inner) => inner.hists.lock().map(|h| h.clone()).unwrap_or_default(),
-            None => BTreeMap::new(),
-        }
-    }
-
-    /// Flushes the sink's buffered output, first emitting one `hist`
-    /// summary event per recorded histogram name (p50/p90/p99 land in the
-    /// trace and in summary tables without any offline pass).
+    /// Flushes the sink's buffered output.
     pub fn flush(&self) {
         if let Some(inner) = &self.inner {
-            for (name, hist) in self.hist_snapshot() {
-                self.emit(
-                    inner,
-                    EventKind::Hist {
-                        name: &name,
-                        hist: &hist,
-                    },
-                );
-            }
             inner.sink.flush();
         }
     }
@@ -444,7 +398,6 @@ impl Drop for Span {
             }
         });
         if let Some(inner) = &st.tracer.inner {
-            inner.record_hist(st.name, dur_ns);
             st.tracer.emit(
                 inner,
                 EventKind::SpanExit {
@@ -572,11 +525,12 @@ mod tests {
             let _s = tracer.span("phase");
             let _t = tracer.span("phase");
         }
-        let s = sink.snapshot();
-        assert_eq!(s.counters["cex"], 3);
-        assert_eq!(s.counters["other"], 5);
-        assert_eq!(s.gauges["vars"], 12);
-        assert_eq!(s.spans["phase"].0, 2);
+        let p = sink.profile();
+        assert_eq!(p.counters["cex"], 3);
+        assert_eq!(p.counters["other"], 5);
+        assert_eq!(p.gauges["vars"], 12);
+        assert_eq!(p.spans["phase"].calls, 2);
+        assert_eq!(p.paths["phase;phase"].calls, 1);
     }
 
     #[test]
@@ -633,18 +587,8 @@ mod tests {
 
     #[test]
     fn jsonl_lines_parse_and_are_monotone() {
-        let buf = Arc::new(Mutex2::default());
-        struct Shared(Arc<Mutex2>);
-        impl std::io::Write for Shared {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0 .0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let sink = Arc::new(JsonlSink::new(Box::new(Shared(buf.clone()))));
+        let buf = Shared::default();
+        let sink = Arc::new(JsonlSink::new(Box::new(buf.clone())));
         let tracer = Tracer::new(sink);
         {
             let _a = tracer.span("a");
@@ -652,28 +596,92 @@ mod tests {
         }
         tracer.msg(Level::Info, "hi \"quoted\"");
         tracer.flush();
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let text = buf.text();
         let mut last = 0i64;
         let mut n = 0;
-        let mut hist_lines = 0;
         for line in text.lines() {
             let v = Json::parse(line).expect("line parses");
             let t = v.get("t_ns").unwrap().as_i64().unwrap();
             assert!(t >= last, "timestamps must be monotone");
             last = t;
             n += 1;
-            if v.get("ev").and_then(Json::as_str) == Some("hist") {
-                hist_lines += 1;
-                assert_eq!(v.get("name").and_then(Json::as_str), Some("a"));
-                assert_eq!(v.get("count").and_then(Json::as_i64), Some(1));
-                assert!(v.get("p99").and_then(Json::as_i64).is_some());
-            }
         }
-        // 2 span events + 1 count + 1 msg + the flush-time histogram
-        // summary of span "a"'s duration.
-        assert_eq!((n, hist_lines), (5, 1));
+        // 2 span events + 1 count + 1 msg; flushing adds no lines.
+        assert_eq!(n, 4);
     }
 
-    #[derive(Default)]
-    struct Mutex2(std::sync::Mutex<Vec<u8>>);
+    #[test]
+    fn summary_sink_and_jsonl_trace_fold_to_one_profile() {
+        /// Hands every event to both sinks, so both see the same durations.
+        struct Tee(Vec<Arc<dyn Sink>>);
+        impl Sink for Tee {
+            fn emit(&self, ev: &Event<'_>) {
+                self.0.iter().for_each(|s| s.emit(ev));
+            }
+        }
+        let summary = Arc::new(SummarySink::silent());
+        let buf = Shared::default();
+        let jsonl = Arc::new(JsonlSink::new(Box::new(buf.clone())));
+        let tracer = Tracer::new(Arc::new(Tee(vec![summary.clone(), jsonl])));
+        {
+            let _a = tracer.span("a");
+            tracer.count("k", 3);
+            {
+                let _b = tracer.span("b");
+                tracer.gauge("g", 7);
+                tracer.record("r", 5);
+            }
+            let _b = tracer.span("b");
+            tracer.record("r", 9);
+            tracer.msg(Level::Info, "hi");
+        }
+        {
+            let branch = tracer.with_branch("loopy");
+            let _c = branch.span("c");
+            branch.count("k", 1);
+            branch.gauge("g", 8);
+        }
+        let live = summary.profile();
+        let folded = profile::profile_str(&buf.text());
+        assert_eq!((live.warning_count, folded.warning_count), (0, 0));
+        assert_eq!((live.events, folded.events), (15, 15));
+        let times = |p: &profile::Profile| -> Vec<(String, u64, u64, u64)> {
+            p.spans
+                .iter()
+                .map(|(n, s)| (n.clone(), s.calls, s.total_ns, s.self_ns))
+                .collect()
+        };
+        assert_eq!(times(&live), times(&folded));
+        assert_eq!(live.paths, folded.paths);
+        assert_eq!(
+            live.paths.keys().collect::<Vec<_>>(),
+            ["a", "a;b", "branch:loopy;c"]
+        );
+        assert_eq!(live.counters, folded.counters);
+        assert_eq!(live.counters["k"], 4);
+        assert_eq!(live.gauges, folded.gauges);
+        assert_eq!(live.gauges["g"], 8);
+        assert_eq!(live.records, folded.records);
+        assert_eq!(live.records["r"].count(), 2);
+    }
+
+    /// A writer appending into a shared buffer.
+    #[derive(Clone, Default)]
+    struct Shared(Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl Shared {
+        fn text(&self) -> String {
+            String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
+        }
+    }
+
+    impl std::io::Write for Shared {
+        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(b);
+            Ok(b.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
 }

@@ -1,9 +1,10 @@
-//! Streaming trace profiler: folds a `PH_TRACE` JSON-lines stream into a
-//! span-tree profile.
+//! The span profiler: the one fold of a trace's events into a span-tree
+//! profile.
 //!
-//! The trace is consumed one line at a time ([`Profiler::feed_line`]), so
-//! multi-hundred-MB traces profile in O(open spans) memory.  The output
-//! ([`Profile`]) answers the questions the raw stream cannot:
+//! Events arrive typed ([`Profiler::feed`], from [`crate::SummarySink`]
+//! while the run goes) or as `PH_TRACE` JSON lines ([`Profiler::feed_line`],
+//! from a trace file, in O(open spans) memory).  The output ([`Profile`])
+//! answers the questions the raw stream cannot:
 //!
 //! * **Per-name cost** — call counts, *total* time (span open) vs *self*
 //!   time (total minus instrumented children), and a duration
@@ -11,25 +12,22 @@
 //! * **Per-path cost** — the same keyed by the full ancestor path, which
 //!   serializes directly to inferno/flamegraph.pl-compatible folded
 //!   stacks ([`Profile::folded`]).
-//! * **CEGIS breakdown** — how each iteration's wall time splits across
-//!   synth / verify / shrink, with nested CNF-simplification time
-//!   attributed to its enclosing iteration
-//!   ([`CegisProfile`]); the instrumentation in `ph-core` is arranged so
-//!   those three phases cover the `cegis.run` total to within ~1%.
+//! * **Child coverage** — the share of a span's time that its
+//!   instrumented children explain ([`Profile::child_coverage_pct`]), the
+//!   measure `trace_prof --min-coverage` gates per span name.
 //!
 //! Malformed input never panics: truncated or non-JSON lines, unbalanced
-//! spans, exits without enters, and non-monotone timestamps are reported
-//! as [`Profile::warnings`] and the rest of the stream still profiles —
-//! a profiler that dies on the trace of a crashed run is useless exactly
-//! when it is needed most.
+//! spans, exits without enters, non-monotone timestamps, unknown event
+//! kinds and events missing their fields are reported as
+//! [`Profile::warnings`] and the rest of the stream still profiles — a
+//! profiler that dies on the trace of a crashed run is useless exactly
+//! when it is needed most.  A trace validates when it profiles without a
+//! warning.
 
 use crate::hist::Histogram;
 use crate::json::Json;
+use crate::{Event, EventKind};
 use std::collections::{BTreeMap, HashMap};
-
-/// How many per-iteration breakdown rows [`CegisProfile::per_iter`]
-/// keeps; later iterations still aggregate into the totals.
-pub const PER_ITER_CAP: usize = 512;
 
 /// At most this many distinct warnings are stored verbatim
 /// ([`Profile::warning_count`] keeps the true total).
@@ -49,7 +47,7 @@ pub struct NameStat {
 }
 
 /// Aggregate cost of one ancestor path (`a;b;c`).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PathStat {
     /// Completed invocations of the leaf at this path.
     pub calls: u64,
@@ -57,62 +55,6 @@ pub struct PathStat {
     pub total_ns: u64,
     /// Summed durations minus instrumented child time.
     pub self_ns: u64,
-}
-
-/// One CEGIS iteration's phase split (a `cegis.iter` span).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct IterRow {
-    /// The iteration's wall time.
-    pub total_ns: u64,
-    /// Synthesis phase (`cegis.synth`: assumption check + model
-    /// extraction, including nested solver work).
-    pub synth_ns: u64,
-    /// Verification phase (`cegis.verify`: incremental check + test-case
-    /// encoding on counterexample).
-    pub verify_ns: u64,
-    /// CNF simplification inside this iteration (`sat.simplify`).
-    pub simplify_ns: u64,
-}
-
-/// The synth/verify/shrink critical-path breakdown of the `cegis.run`
-/// spans (summed across runs and race branches).
-#[derive(Clone, Debug, Default)]
-pub struct CegisProfile {
-    /// Completed `cegis.run` spans (one per synthesis run per branch).
-    pub runs: u64,
-    /// Completed `cegis.iter` spans.
-    pub iters: u64,
-    /// Total time inside `cegis.run`.
-    pub total_ns: u64,
-    /// Total `cegis.synth` time.
-    pub synth_ns: u64,
-    /// Total `cegis.verify` time.
-    pub verify_ns: u64,
-    /// Total `cegis.shrink` time.
-    pub shrink_ns: u64,
-    /// Total `cegis.assume` (budget-level assumption building) time.
-    pub assume_ns: u64,
-    /// Total `sat.simplify` time under `cegis.run`.
-    pub simplify_ns: u64,
-    /// `total_ns` minus everything instrumented above (loop control,
-    /// span bookkeeping): what the profile *cannot* attribute.
-    pub other_ns: u64,
-    /// First [`PER_ITER_CAP`] iterations' phase splits.
-    pub per_iter: Vec<IterRow>,
-    /// Whether iterations beyond the cap were dropped from `per_iter`.
-    pub per_iter_capped: bool,
-}
-
-impl CegisProfile {
-    /// Share of `cegis.run` time attributed to the three phases —
-    /// `100 * (synth + verify + shrink) / total` (100 when no CEGIS span
-    /// appears in the trace).
-    pub fn coverage_pct(&self) -> f64 {
-        if self.total_ns == 0 {
-            return 100.0;
-        }
-        100.0 * (self.synth_ns + self.verify_ns + self.shrink_ns) as f64 / self.total_ns as f64
-    }
 }
 
 /// An open span while streaming.
@@ -123,16 +65,15 @@ struct Frame {
     path: String,
     /// Sum of completed direct children's durations.
     child_ns: u64,
-    /// Phase accumulator, allocated for `cegis.iter` frames only.
-    iter: Option<Box<IterRow>>,
 }
 
 /// The finished profile (see the module docs).
 #[derive(Clone, Debug, Default)]
 pub struct Profile {
-    /// Lines consumed (including malformed ones).
+    /// Trace lines consumed (including malformed ones); 0 for a typed
+    /// event stream.
     pub lines: u64,
-    /// Events successfully parsed.
+    /// Well-formed events folded.
     pub events: u64,
     /// Per span name aggregates.
     pub spans: BTreeMap<String, NameStat>,
@@ -144,8 +85,6 @@ pub struct Profile {
     pub counters: BTreeMap<String, u64>,
     /// Last gauge values.
     pub gauges: BTreeMap<String, u64>,
-    /// CEGIS phase breakdown.
-    pub cegis: CegisProfile,
     /// First [`WARNING_CAP`] problems found in the stream.
     pub warnings: Vec<String>,
     /// Total problems found (may exceed `warnings.len()`).
@@ -179,16 +118,18 @@ impl Profile {
         Some(100.0 * (st.total_ns - st.self_ns) as f64 / st.total_ns as f64)
     }
 
-    /// A human-readable top-`n` report (by self time), with the CEGIS
-    /// breakdown and counters appended.
+    /// A human-readable report: the top `n` spans by self time, then
+    /// counters, gauges and record distributions.
     pub fn render(&self, n: usize) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
+        let _ = write!(out, "trace profile: {} events", self.events);
+        if self.lines > 0 {
+            let _ = write!(out, " on {} lines", self.lines);
+        }
         let _ = writeln!(
             out,
-            "trace profile: {} events on {} lines, {} span names, {} warnings",
-            self.events,
-            self.lines,
+            ", {} span names, {} warnings",
             self.spans.len(),
             self.warning_count
         );
@@ -216,38 +157,25 @@ impl Profile {
                 st.dur.p99() as f64 / 1e3,
             );
         }
-        let c = &self.cegis;
-        if c.runs > 0 {
-            let pct = |ns: u64| 100.0 * ns as f64 / c.total_ns.max(1) as f64;
-            let _ = writeln!(
-                out,
-                "\ncegis: {} runs, {} iterations, {:.3} ms total",
-                c.runs,
-                c.iters,
-                c.total_ns as f64 / 1e6
-            );
-            let _ = writeln!(
-                out,
-                "  synth {:>9.3} ms ({:>4.1}%)   verify {:>9.3} ms ({:>4.1}%)   shrink {:>9.3} ms ({:>4.1}%)",
-                c.synth_ns as f64 / 1e6,
-                pct(c.synth_ns),
-                c.verify_ns as f64 / 1e6,
-                pct(c.verify_ns),
-                c.shrink_ns as f64 / 1e6,
-                pct(c.shrink_ns),
-            );
-            let _ = writeln!(
-                out,
-                "  nested: simplify {:.3} ms; unattributed {:.3} ms; phase coverage {:.2}%",
-                c.simplify_ns as f64 / 1e6,
-                c.other_ns as f64 / 1e6,
-                c.coverage_pct(),
-            );
+        for (title, values) in [("counters", &self.counters), ("gauges", &self.gauges)] {
+            if !values.is_empty() {
+                let _ = writeln!(out, "\n{title}:");
+                for (name, v) in values {
+                    let _ = writeln!(out, "  {name:<30} {v}");
+                }
+            }
         }
-        if !self.counters.is_empty() {
-            let _ = writeln!(out, "\ncounters:");
-            for (name, v) in &self.counters {
-                let _ = writeln!(out, "  {name:<30} {v}");
+        if !self.records.is_empty() {
+            let _ = writeln!(out, "\nrecords:");
+            for (name, h) in &self.records {
+                let _ = writeln!(
+                    out,
+                    "  {name:<30} x{:<7} p50 {} p90 {} p99 {}",
+                    h.count(),
+                    h.p50(),
+                    h.p90(),
+                    h.p99()
+                );
             }
         }
         out
@@ -284,18 +212,6 @@ impl Profile {
             }
             o
         };
-        let c = &self.cegis;
-        let per_iter = c
-            .per_iter
-            .iter()
-            .map(|r| {
-                Json::obj()
-                    .with("total_ns", r.total_ns)
-                    .with("synth_ns", r.synth_ns)
-                    .with("verify_ns", r.verify_ns)
-                    .with("simplify_ns", r.simplify_ns)
-            })
-            .collect();
         Json::obj()
             .with("lines", self.lines)
             .with("events", self.events)
@@ -313,27 +229,11 @@ impl Profile {
             .with("records", Json::Arr(records))
             .with("counters", obj_of(&self.counters))
             .with("gauges", obj_of(&self.gauges))
-            .with(
-                "cegis",
-                Json::obj()
-                    .with("runs", c.runs)
-                    .with("iters", c.iters)
-                    .with("total_ns", c.total_ns)
-                    .with("synth_ns", c.synth_ns)
-                    .with("verify_ns", c.verify_ns)
-                    .with("shrink_ns", c.shrink_ns)
-                    .with("assume_ns", c.assume_ns)
-                    .with("simplify_ns", c.simplify_ns)
-                    .with("other_ns", c.other_ns)
-                    .with("coverage_pct", c.coverage_pct())
-                    .with("per_iter", Json::Arr(per_iter))
-                    .with("per_iter_capped", c.per_iter_capped),
-            )
     }
 }
 
-/// Streaming profile builder: [`Profiler::feed_line`] each trace line,
-/// then [`Profiler::finish`].
+/// Streaming profile builder: [`Profiler::feed`] each event (or
+/// [`Profiler::feed_line`] each trace line), then [`Profiler::finish`].
 #[derive(Default)]
 pub struct Profiler {
     out: Profile,
@@ -350,159 +250,158 @@ impl Profiler {
         Profiler::default()
     }
 
+    /// Records a problem, prefixed with where it was found: the trace line
+    /// when fed lines, else the event's ordinal.
     fn warn(&mut self, msg: String) {
+        let at = match self.out.lines {
+            0 => format!("event {}", self.out.events + 1),
+            n => format!("line {n}"),
+        };
         self.out.warning_count += 1;
         if self.out.warnings.len() < WARNING_CAP {
-            self.out.warnings.push(msg);
+            self.out.warnings.push(format!("{at}: {msg}"));
         }
     }
 
-    /// Consumes one trace line.  Malformed lines are recorded as
-    /// warnings, never panics.
+    /// Folds one typed event.
+    pub fn feed(&mut self, ev: &Event<'_>) {
+        match ev.kind {
+            EventKind::SpanEnter { name, id, parent } => self.on_enter(name, id, parent, ev.branch),
+            EventKind::SpanExit { name, id, dur_ns } => self.on_exit(name, id, dur_ns),
+            EventKind::Counter { name, delta } => {
+                *self.out.counters.entry(name.to_string()).or_insert(0) += delta;
+            }
+            EventKind::Gauge { name, value } => {
+                self.out.gauges.insert(name.to_string(), value);
+            }
+            EventKind::Record { name, value } => {
+                self.out
+                    .records
+                    .entry(name.to_string())
+                    .or_default()
+                    .record(value);
+            }
+            EventKind::Message { .. } => {}
+        }
+        self.out.events += 1;
+    }
+
+    /// Consumes one JSONL trace line: parses it, checks that its `t_ns`
+    /// stamp does not go backwards, and [feeds](Profiler::feed) the event.
+    /// Malformed lines are recorded as warnings, never panics.
     pub fn feed_line(&mut self, line: &str) {
         self.out.lines += 1;
-        let lineno = self.out.lines;
         if line.trim().is_empty() {
             return;
         }
         let ev = match Json::parse(line) {
             Ok(v) => v,
-            Err(e) => {
-                self.warn(format!("line {lineno}: not valid JSON ({e})"));
-                return;
-            }
+            Err(e) => return self.warn(format!("not valid JSON ({e})")),
         };
-        self.out.events += 1;
         match ev.get("t_ns").and_then(Json::as_i64) {
-            Some(t) => {
-                if t < self.last_t {
-                    self.warn(format!(
-                        "line {lineno}: t_ns {t} goes backwards (previous {})",
-                        self.last_t
-                    ));
-                } else {
-                    self.last_t = t;
-                }
-            }
-            None => self.warn(format!("line {lineno}: missing t_ns")),
+            Some(t) if t < self.last_t => self.warn(format!(
+                "t_ns {t} goes backwards (previous {})",
+                self.last_t
+            )),
+            Some(t) => self.last_t = t,
+            None => self.warn("missing t_ns".into()),
         }
-        let Some(kind) = ev.get("ev").and_then(Json::as_str) else {
-            self.warn(format!("line {lineno}: missing ev kind"));
-            return;
+        let str_of = |key| ev.get(key).and_then(Json::as_str);
+        let u64_of = |key| ev.get(key).and_then(Json::as_i64).map(|v| v.max(0) as u64);
+        let Some(ev_kind) = str_of("ev") else {
+            return self.warn("missing ev kind".into());
         };
-        match kind {
-            "enter" => self.on_enter(&ev, lineno),
-            "exit" => self.on_exit(&ev, lineno),
-            "count" => {
-                if let (Some(name), Some(delta)) = (
-                    ev.get("name").and_then(Json::as_str),
-                    ev.get("delta").and_then(Json::as_i64),
-                ) {
-                    *self.out.counters.entry(name.to_string()).or_insert(0) += delta.max(0) as u64;
-                } else {
-                    self.warn(format!("line {lineno}: count without name/delta"));
-                }
-            }
-            "gauge" => {
-                if let (Some(name), Some(value)) = (
-                    ev.get("name").and_then(Json::as_str),
-                    ev.get("value").and_then(Json::as_i64),
-                ) {
-                    self.out
-                        .gauges
-                        .insert(name.to_string(), value.max(0) as u64);
-                } else {
-                    self.warn(format!("line {lineno}: gauge without name/value"));
-                }
-            }
-            "record" => {
-                if let (Some(name), Some(value)) = (
-                    ev.get("name").and_then(Json::as_str),
-                    ev.get("value").and_then(Json::as_i64),
-                ) {
-                    self.out
-                        .records
-                        .entry(name.to_string())
-                        .or_default()
-                        .record(value.max(0) as u64);
-                } else {
-                    self.warn(format!("line {lineno}: record without name/value"));
-                }
-            }
-            // Flush-time summaries are derived data; the profiler
-            // recomputes distributions from the raw events.
-            "msg" | "hist" => {}
+        let (name, span, id, value) = (
+            str_of("name"),
+            str_of("span"),
+            u64_of("id"),
+            u64_of("value"),
+        );
+        let (kind, fields) = match ev_kind {
+            "enter" => (
+                span.zip(id).map(|(name, id)| EventKind::SpanEnter {
+                    name,
+                    id,
+                    parent: u64_of("parent"),
+                }),
+                "span/id",
+            ),
+            "exit" => (
+                span.zip(id)
+                    .zip(u64_of("dur_ns"))
+                    .map(|((name, id), dur_ns)| EventKind::SpanExit { name, id, dur_ns }),
+                "span/id/dur_ns",
+            ),
+            "count" => (
+                name.zip(u64_of("delta"))
+                    .map(|(name, delta)| EventKind::Counter { name, delta }),
+                "name/delta",
+            ),
+            "gauge" => (
+                name.zip(value)
+                    .map(|(name, value)| EventKind::Gauge { name, value }),
+                "name/value",
+            ),
+            "record" => (
+                name.zip(value)
+                    .map(|(name, value)| EventKind::Record { name, value }),
+                "name/value",
+            ),
+            "msg" => (
+                str_of("level")
+                    .and_then(|l| l.parse().ok())
+                    .zip(str_of("text"))
+                    .map(|(level, text)| EventKind::Message { level, text }),
+                "level/text",
+            ),
             other => {
                 if !self.unknown_kinds.iter().any(|k| k == other) {
                     self.unknown_kinds.push(other.to_string());
-                    self.warn(format!("line {lineno}: unknown event kind {other:?}"));
+                    self.warn(format!("unknown event kind {other:?}"));
                 }
+                return;
             }
+        };
+        match kind {
+            Some(kind) => self.feed(&Event {
+                branch: str_of("branch"),
+                kind,
+            }),
+            None => self.warn(format!("{ev_kind} without {fields}")),
         }
     }
 
-    fn on_enter(&mut self, ev: &Json, lineno: u64) {
-        let (Some(id), Some(name)) = (
-            ev.get("id").and_then(Json::as_i64),
-            ev.get("span").and_then(Json::as_str),
-        ) else {
-            self.warn(format!("line {lineno}: enter without id/span"));
-            return;
-        };
-        let id = id as u64;
-        let parent = ev.get("parent").and_then(Json::as_i64).map(|p| p as u64);
-        let path = match parent.and_then(|p| self.open.get(&p)) {
-            Some(pf) => format!("{};{}", pf.path, name),
-            None => match ev.get("branch").and_then(Json::as_str) {
-                Some(b) => format!("branch:{b};{name}"),
-                None => name.to_string(),
-            },
+    fn on_enter(&mut self, name: &str, id: u64, parent: Option<u64>, branch: Option<&str>) {
+        let path = match (parent.and_then(|p| self.open.get(&p)), branch) {
+            (Some(pf), _) => format!("{};{}", pf.path, name),
+            (None, Some(b)) => format!("branch:{b};{name}"),
+            (None, None) => name.to_string(),
         };
         if parent.is_some() && parent.and_then(|p| self.open.get(&p)).is_none() {
             // Parent id present but never seen entering: the trace head
             // was truncated or the parent line was malformed.
             self.warn(format!(
-                "line {lineno}: span {name:?} (id {id}) has unknown parent {parent:?}"
+                "span {name:?} (id {id}) has unknown parent {parent:?}"
             ));
         }
-        let iter = (name == "cegis.iter").then(|| Box::new(IterRow::default()));
-        if self
-            .open
-            .insert(
-                id,
-                Frame {
-                    name: name.to_string(),
-                    parent,
-                    path,
-                    child_ns: 0,
-                    iter,
-                },
-            )
-            .is_some()
-        {
-            self.warn(format!("line {lineno}: span id {id} entered twice"));
+        let frame = Frame {
+            name: name.to_string(),
+            parent,
+            path,
+            child_ns: 0,
+        };
+        if self.open.insert(id, frame).is_some() {
+            self.warn(format!("span id {id} entered twice"));
         }
     }
 
-    fn on_exit(&mut self, ev: &Json, lineno: u64) {
-        let (Some(id), Some(name), Some(dur)) = (
-            ev.get("id").and_then(Json::as_i64),
-            ev.get("span").and_then(Json::as_str),
-            ev.get("dur_ns").and_then(Json::as_i64),
-        ) else {
-            self.warn(format!("line {lineno}: exit without id/span/dur_ns"));
-            return;
-        };
-        let dur = dur.max(0) as u64;
-        let Some(frame) = self.open.remove(&(id as u64)) else {
-            self.warn(format!(
-                "line {lineno}: exit of {name:?} (id {id}) was never entered"
-            ));
-            return;
+    fn on_exit(&mut self, name: &str, id: u64, dur: u64) {
+        let Some(frame) = self.open.remove(&id) else {
+            return self.warn(format!("exit of {name:?} (id {id}) was never entered"));
         };
         if frame.name != name {
             self.warn(format!(
-                "line {lineno}: exit of {name:?} closes span entered as {:?}",
+                "exit of {name:?} closes span entered as {:?}",
                 frame.name
             ));
         }
@@ -511,83 +410,33 @@ impl Profiler {
         if let Some(pf) = frame.parent.and_then(|p| self.open.get_mut(&p)) {
             pf.child_ns += dur;
         }
-        // Name and path aggregates.
-        let ns = self.out.spans.entry(frame.name.clone()).or_default();
+        let ns = self.out.spans.entry(frame.name).or_default();
         ns.calls += 1;
         ns.total_ns += dur;
         ns.self_ns += self_ns;
         ns.dur.record(dur);
-        let ps = self.out.paths.entry(frame.path.clone()).or_default();
+        let ps = self.out.paths.entry(frame.path).or_default();
         ps.calls += 1;
         ps.total_ns += dur;
         ps.self_ns += self_ns;
-        // CEGIS phase attribution.
-        let c = &mut self.out.cegis;
-        match frame.name.as_str() {
-            "cegis.run" => {
-                c.runs += 1;
-                c.total_ns += dur;
-            }
-            "cegis.iter" => {
-                c.iters += 1;
-                let mut row = frame.iter.map(|b| *b).unwrap_or_default();
-                row.total_ns = dur;
-                if c.per_iter.len() < PER_ITER_CAP {
-                    c.per_iter.push(row);
-                } else {
-                    c.per_iter_capped = true;
-                }
-            }
-            "cegis.synth" => c.synth_ns += dur,
-            "cegis.verify" => c.verify_ns += dur,
-            "cegis.shrink" => c.shrink_ns += dur,
-            "cegis.assume" => c.assume_ns += dur,
-            "sat.simplify" => c.simplify_ns += dur,
-            _ => {}
-        }
-        // Per-iteration nested attribution: credit the nearest open
-        // cegis.iter ancestor.
-        if matches!(
-            frame.name.as_str(),
-            "cegis.synth" | "cegis.verify" | "sat.simplify"
-        ) {
-            let mut cur = frame.parent;
-            while let Some(pid) = cur {
-                match self.open.get_mut(&pid) {
-                    Some(pf) => {
-                        if let Some(row) = pf.iter.as_deref_mut() {
-                            match frame.name.as_str() {
-                                "cegis.synth" => row.synth_ns += dur,
-                                "cegis.verify" => row.verify_ns += dur,
-                                "sat.simplify" => row.simplify_ns += dur,
-                                _ => {}
-                            }
-                            break;
-                        }
-                        cur = pf.parent;
-                    }
-                    None => break,
-                }
-            }
-        }
     }
 
-    /// Finishes the stream: reports still-open spans as warnings and
-    /// returns the profile.
-    pub fn finish(mut self) -> Profile {
+    /// The profile so far, with still-open spans reported as a warning
+    /// (their time is not counted).
+    pub fn finish(&self) -> Profile {
+        let mut out = self.out.clone();
         if !self.open.is_empty() {
             let mut names: Vec<&str> = self.open.values().map(|f| f.name.as_str()).collect();
             names.sort_unstable();
-            self.warn(format!(
-                "{} spans never exited (their time is not counted): {names:?}",
-                names.len()
-            ));
+            out.warning_count += 1;
+            if out.warnings.len() < WARNING_CAP {
+                out.warnings.push(format!(
+                    "{} spans never exited (their time is not counted): {names:?}",
+                    names.len()
+                ));
+            }
         }
-        let c = &mut self.out.cegis;
-        c.other_ns = c
-            .total_ns
-            .saturating_sub(c.synth_ns + c.verify_ns + c.shrink_ns + c.assume_ns);
-        self.out
+        out
     }
 }
 
@@ -704,52 +553,45 @@ mod tests {
     }
 
     #[test]
-    fn cegis_breakdown_attributes_phases_per_iteration() {
+    fn cegis_coverage_is_per_span() {
         let trace = [
             r#"{"t_ns":0,"ev":"enter","span":"cegis.run","id":1}"#,
             r#"{"t_ns":1,"ev":"enter","span":"cegis.assume","id":2,"parent":1}"#,
-            r#"{"t_ns":3,"ev":"exit","span":"cegis.assume","id":2,"parent":1,"dur_ns":2}"#,
+            r#"{"t_ns":3,"ev":"exit","span":"cegis.assume","id":2,"dur_ns":2}"#,
             // iter 1: synth 50 (30 of it simplification), verify 40
             r#"{"t_ns":10,"ev":"enter","span":"cegis.iter","id":3,"parent":1}"#,
             r#"{"t_ns":11,"ev":"enter","span":"cegis.synth","id":4,"parent":3}"#,
             r#"{"t_ns":20,"ev":"enter","span":"smt.check","id":5,"parent":4}"#,
             r#"{"t_ns":21,"ev":"enter","span":"sat.simplify","id":6,"parent":5}"#,
-            r#"{"t_ns":51,"ev":"exit","span":"sat.simplify","id":6,"parent":5,"dur_ns":30}"#,
-            r#"{"t_ns":55,"ev":"exit","span":"smt.check","id":5,"parent":4,"dur_ns":35}"#,
-            r#"{"t_ns":61,"ev":"exit","span":"cegis.synth","id":4,"parent":3,"dur_ns":50}"#,
+            r#"{"t_ns":51,"ev":"exit","span":"sat.simplify","id":6,"dur_ns":30}"#,
+            r#"{"t_ns":55,"ev":"exit","span":"smt.check","id":5,"dur_ns":35}"#,
+            r#"{"t_ns":61,"ev":"exit","span":"cegis.synth","id":4,"dur_ns":50}"#,
             r#"{"t_ns":62,"ev":"enter","span":"cegis.verify","id":7,"parent":3}"#,
-            r#"{"t_ns":102,"ev":"exit","span":"cegis.verify","id":7,"parent":3,"dur_ns":40}"#,
-            r#"{"t_ns":105,"ev":"exit","span":"cegis.iter","id":3,"parent":1,"dur_ns":95}"#,
+            r#"{"t_ns":102,"ev":"exit","span":"cegis.verify","id":7,"dur_ns":40}"#,
+            r#"{"t_ns":105,"ev":"exit","span":"cegis.iter","id":3,"dur_ns":95}"#,
             // iter 2: synth 20, no verify (interrupted, say)
             r#"{"t_ns":110,"ev":"enter","span":"cegis.iter","id":8,"parent":1}"#,
             r#"{"t_ns":111,"ev":"enter","span":"cegis.synth","id":9,"parent":8}"#,
-            r#"{"t_ns":131,"ev":"exit","span":"cegis.synth","id":9,"parent":8,"dur_ns":20}"#,
-            r#"{"t_ns":135,"ev":"exit","span":"cegis.iter","id":8,"parent":1,"dur_ns":25}"#,
+            r#"{"t_ns":131,"ev":"exit","span":"cegis.synth","id":9,"dur_ns":20}"#,
+            r#"{"t_ns":135,"ev":"exit","span":"cegis.iter","id":8,"dur_ns":25}"#,
             // shrink at run level
             r#"{"t_ns":140,"ev":"enter","span":"cegis.shrink","id":10,"parent":1}"#,
-            r#"{"t_ns":170,"ev":"exit","span":"cegis.shrink","id":10,"parent":1,"dur_ns":30}"#,
+            r#"{"t_ns":170,"ev":"exit","span":"cegis.shrink","id":10,"dur_ns":30}"#,
             r#"{"t_ns":180,"ev":"exit","span":"cegis.run","id":1,"dur_ns":180}"#,
         ]
         .join("\n");
         let p = profile_str(&trace);
         assert_eq!(p.warning_count, 0, "{:?}", p.warnings);
-        let c = &p.cegis;
-        assert_eq!((c.runs, c.iters), (1, 2));
-        assert_eq!(c.total_ns, 180);
-        assert_eq!(c.synth_ns, 70);
-        assert_eq!(c.verify_ns, 40);
-        assert_eq!(c.shrink_ns, 30);
-        assert_eq!(c.assume_ns, 2);
-        assert_eq!(c.simplify_ns, 30);
-        // other = 180 - (70+40+30+2) = 38
-        assert_eq!(c.other_ns, 38);
-        let [i1, i2] = [&c.per_iter[0], &c.per_iter[1]];
-        assert_eq!((i1.total_ns, i1.synth_ns, i1.verify_ns), (95, 50, 40));
-        assert_eq!(i1.simplify_ns, 30);
-        assert_eq!((i2.total_ns, i2.synth_ns, i2.verify_ns), (25, 20, 0));
-        assert!(!c.per_iter_capped);
-        let cov = c.coverage_pct();
-        assert!((cov - 100.0 * 140.0 / 180.0).abs() < 1e-9, "{cov}");
+        let (run, iter) = (&p.spans["cegis.run"], &p.spans["cegis.iter"]);
+        assert_eq!((run.calls, run.total_ns, run.self_ns), (1, 180, 28));
+        assert_eq!((iter.calls, iter.total_ns, iter.self_ns), (2, 120, 10));
+        // What a synth/verify/shrink/assume phase split cannot attribute
+        // is exactly the two spans' self time.
+        assert_eq!(run.self_ns + iter.self_ns, 180 - (70 + 40 + 30 + 2));
+        let cov = |name| p.child_coverage_pct(name).unwrap();
+        assert!((cov("cegis.run") - 100.0 * 152.0 / 180.0).abs() < 1e-9);
+        assert!((cov("cegis.iter") - 100.0 * 110.0 / 120.0).abs() < 1e-9);
+        assert_eq!(p.spans["sat.simplify"].total_ns, 30);
     }
 
     #[test]
@@ -765,6 +607,7 @@ mod tests {
             r#"{"t_ns":70,"ev":"enter","span":"dup","id":1}"#, // id reused while open
             r#"{"t_ns":80,"ev":"wat","name":"x"}"#,       // unknown kind
             r#"{"t_ns":90,"ev":"enter"}"#,                // missing id/span
+            r#"{"t_ns":95,"ev":"msg","level":"info"}"#,   // missing text
                                                           // `a`/`dup` (id 1) never exits -> unbalanced at EOF
         ]
         .join("\n");
@@ -777,6 +620,8 @@ mod tests {
             "never entered",
             "entered twice",
             "unknown event kind",
+            "enter without span/id",
+            "msg without level/text",
             "never exited",
         ] {
             assert!(all.contains(needle), "missing {needle:?} in:\n{all}");
@@ -803,7 +648,6 @@ mod tests {
             "records",
             "counters",
             "gauges",
-            "cegis",
         ] {
             assert!(j.get(key).is_some(), "missing {key}");
         }
@@ -814,9 +658,6 @@ mod tests {
                 assert!(s.get(key).is_some(), "span missing {key}");
             }
         }
-        let c = j.get("cegis").unwrap();
-        assert_eq!(c.get("runs").unwrap().as_i64(), Some(0));
-        assert_eq!(c.get("coverage_pct").unwrap().as_f64(), Some(100.0));
         // The whole document round-trips through the printer/parser.
         let text = j.to_pretty();
         assert_eq!(&Json::parse(&text).unwrap(), &j);

@@ -6,9 +6,10 @@
 //! threads (Opt7 race branches) share one sink.
 
 use crate::json::write_str;
+use crate::profile::{Profile, Profiler};
 use crate::{Event, EventKind, Level};
-use std::collections::BTreeMap;
 use std::io::Write;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -42,6 +43,7 @@ impl Sink for NoopSink {
 /// {"t_ns":3,"ev":"count","name":"cegis.cex","delta":1}
 /// {"t_ns":4,"ev":"gauge","name":"smt.sat_vars","value":983}
 /// {"t_ns":5,"ev":"msg","level":"info","text":"budget level 2"}
+/// {"t_ns":6,"ev":"record","name":"verify.conflicts","value":12}
 /// ```
 pub struct JsonlSink {
     out: Mutex<Box<dyn Write + Send>>,
@@ -122,21 +124,6 @@ impl Sink for JsonlSink {
                 write_str(&mut line, name);
                 let _ = write!(line, ",\"value\":{value}");
             }
-            EventKind::Hist { name, hist } => {
-                line.push_str(",\"ev\":\"hist\",\"name\":");
-                write_str(&mut line, name);
-                let _ = write!(
-                    line,
-                    ",\"count\":{},\"min\":{},\"max\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{}",
-                    hist.count(),
-                    hist.min(),
-                    hist.max(),
-                    crate::Json::Float(hist.mean()),
-                    hist.p50(),
-                    hist.p90(),
-                    hist.p99()
-                );
-            }
         }
         line.push_str("}\n");
         let _ = out.write_all(line.as_bytes());
@@ -155,132 +142,62 @@ impl Drop for JsonlSink {
     }
 }
 
-/// Aggregated per-name totals of one trace: span counts and total
-/// durations, counter sums, last gauge values.
-#[derive(Clone, Debug, Default)]
-pub struct Summary {
-    /// Per span name: (times entered, total nanoseconds inside).
-    pub spans: BTreeMap<String, (u64, u64)>,
-    /// Per counter name: sum of deltas.
-    pub counters: BTreeMap<String, u64>,
-    /// Per gauge name: last reported value.
-    pub gauges: BTreeMap<String, u64>,
-    /// Per histogram name: (count, p50, p90, p99) from the `hist` summary
-    /// events the tracer emits at flush.
-    pub hists: BTreeMap<String, (u64, u64, u64, u64)>,
-}
-
-impl Summary {
-    /// Renders a human-readable table.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "-- trace summary --");
-        for (name, (n, total_ns)) in &self.spans {
-            let _ = writeln!(
-                out,
-                "span  {name:<28} x{n:<6} total {:>10.3} ms",
-                *total_ns as f64 / 1e6
-            );
-        }
-        for (name, v) in &self.counters {
-            let _ = writeln!(out, "count {name:<28} {v}");
-        }
-        for (name, v) in &self.gauges {
-            let _ = writeln!(out, "gauge {name:<28} {v}");
-        }
-        for (name, (n, p50, p90, p99)) in &self.hists {
-            let _ = writeln!(
-                out,
-                "hist  {name:<28} x{n:<6} p50 {p50} p90 {p90} p99 {p99}"
-            );
-        }
-        out
-    }
-}
-
 /// Human-readable sink: prints `msg` events to stderr as they happen
-/// (verbosity filtering happens in the tracer) and aggregates everything
-/// else into a [`Summary`] printed on [`Sink::flush`] or drop, whichever
-/// comes first.  The flush path matters for a global summary tracer
-/// ([`crate::init_global`]), which lives in a never-dropped static: processes flush it
-/// before exiting ([`crate::Tracer::flush`]).
+/// (verbosity filtering happens in the tracer) and folds every event into
+/// a [`Profiler`], whose [`Profile::render`] table it prints on
+/// [`Sink::flush`] or drop, whichever comes first.  The flush path matters
+/// for a global summary tracer ([`crate::init_global`]), which lives in a
+/// never-dropped static: processes flush it before exiting
+/// ([`crate::Tracer::flush`]).
 pub struct SummarySink {
-    state: Mutex<Summary>,
-    /// Print the aggregate table to stderr on flush/drop.
+    profiler: Mutex<Profiler>,
+    /// Print the profile to stderr on flush/drop.
     print: bool,
-    /// Whether the table has already been printed (prints at most once).
-    printed: std::sync::atomic::AtomicBool,
+    /// Whether the profile has already been printed (prints at most once).
+    printed: AtomicBool,
 }
 
 impl SummarySink {
-    /// A sink that prints its summary table to stderr when flushed or
-    /// dropped.
-    pub fn stderr() -> SummarySink {
+    fn new(print: bool) -> SummarySink {
         SummarySink {
-            state: Mutex::new(Summary::default()),
-            print: true,
-            printed: std::sync::atomic::AtomicBool::new(false),
+            profiler: Mutex::new(Profiler::new()),
+            print,
+            printed: AtomicBool::new(false),
         }
+    }
+
+    /// A sink that prints its profile to stderr when flushed or dropped.
+    pub fn stderr() -> SummarySink {
+        SummarySink::new(true)
     }
 
     /// A silent aggregator (for tests and programmatic inspection).
     pub fn silent() -> SummarySink {
-        SummarySink {
-            state: Mutex::new(Summary::default()),
-            print: false,
-            printed: std::sync::atomic::AtomicBool::new(false),
-        }
+        SummarySink::new(false)
     }
 
     fn print_once(&self) {
-        if self.print && !self.printed.swap(true, std::sync::atomic::Ordering::SeqCst) {
-            eprint!("{}", self.snapshot().render());
+        if self.print && !self.printed.swap(true, Ordering::SeqCst) {
+            eprint!("{}", self.profile().render(usize::MAX));
         }
     }
 
-    /// A copy of the aggregate state so far.
-    pub fn snapshot(&self) -> Summary {
-        self.state.lock().map(|s| s.clone()).unwrap_or_default()
+    /// The profile of every event so far.
+    pub fn profile(&self) -> Profile {
+        self.profiler.lock().map(|p| p.finish()).unwrap_or_default()
     }
 }
 
 impl Sink for SummarySink {
     fn emit(&self, ev: &Event<'_>) {
-        match ev.kind {
-            EventKind::SpanEnter { .. } => {}
-            EventKind::SpanExit { name, dur_ns, .. } => {
-                if let Ok(mut s) = self.state.lock() {
-                    let e = s.spans.entry(name.to_string()).or_insert((0, 0));
-                    e.0 += 1;
-                    e.1 += dur_ns;
-                }
-            }
-            EventKind::Counter { name, delta } => {
-                if let Ok(mut s) = self.state.lock() {
-                    *s.counters.entry(name.to_string()).or_insert(0) += delta;
-                }
-            }
-            EventKind::Gauge { name, value } => {
-                if let Ok(mut s) = self.state.lock() {
-                    s.gauges.insert(name.to_string(), value);
-                }
-            }
-            EventKind::Message { level, text } => match ev.branch {
+        if let EventKind::Message { level, text } = ev.kind {
+            match ev.branch {
                 Some(b) => eprintln!("[{level}][{b}] {text}"),
                 None => eprintln!("[{level}] {text}"),
-            },
-            // Raw samples are aggregated by the tracer's registry; the
-            // flush-time summaries land in the table below.
-            EventKind::Record { .. } => {}
-            EventKind::Hist { name, hist } => {
-                if let Ok(mut s) = self.state.lock() {
-                    s.hists.insert(
-                        name.to_string(),
-                        (hist.count(), hist.p50(), hist.p90(), hist.p99()),
-                    );
-                }
             }
+        }
+        if let Ok(mut p) = self.profiler.lock() {
+            p.feed(ev);
         }
     }
 
@@ -338,23 +255,12 @@ pub enum OwnedEvent {
         /// Text.
         text: String,
     },
-    /// Explicit histogram sample.
+    /// Distribution sample.
     Record {
-        /// Histogram name.
+        /// Distribution name.
         name: String,
         /// The sample.
         value: u64,
-    },
-    /// Flush-time histogram summary.
-    Hist {
-        /// Histogram name.
-        name: String,
-        /// Samples recorded.
-        count: u64,
-        /// Median.
-        p50: u64,
-        /// 99th percentile.
-        p99: u64,
     },
 }
 
@@ -404,12 +310,6 @@ impl Sink for MemorySink {
             EventKind::Record { name, value } => OwnedEvent::Record {
                 name: name.to_string(),
                 value,
-            },
-            EventKind::Hist { name, hist } => OwnedEvent::Hist {
-                name: name.to_string(),
-                count: hist.count(),
-                p50: hist.p50(),
-                p99: hist.p99(),
             },
         };
         if let Ok(mut e) = self.events.lock() {
