@@ -43,13 +43,6 @@ fn fail(file: &str, msg: String) -> ! {
 /// Delete this list when the baselines are regenerated.
 const NOT_IN_BASELINES: &[&str] = &["arena_gcs", "arena_bytes", "cache_hits", "cache_misses"];
 
-/// Validates one histogram summary object.
-fn check_hist(file: &str, ctx: &str, v: &Json) {
-    if let Err(e) = Histogram::from_json(v) {
-        fail(file, format!("{ctx}: {e}"));
-    }
-}
-
 /// Sets each absent `keys` entry to zero in `v` and every object below it.
 fn fill_zero(v: &mut Json, keys: &[&str]) {
     if let Json::Obj(fields) = v {
@@ -179,7 +172,9 @@ fn check_profile(file: &str, doc: &Json) {
         let Some(dur) = s.get("dur") else {
             fail(file, format!("profile.spans[{i}] has no \"dur\""));
         };
-        check_hist(file, &format!("profile.spans[{i}].dur"), dur);
+        if let Err(e) = Histogram::from_json(dur) {
+            fail(file, format!("profile.spans[{i}].dur: {e}"));
+        }
     }
     for key in ["counters", "gauges"] {
         if p.get(key).and_then(Json::as_obj).is_none() {

@@ -92,6 +92,15 @@ pub struct Profile {
 }
 
 impl Profile {
+    /// Counts a problem, keeping its text while fewer than [`WARNING_CAP`]
+    /// are stored.
+    fn warn(&mut self, msg: String) {
+        self.warning_count += 1;
+        if self.warnings.len() < WARNING_CAP {
+            self.warnings.push(msg);
+        }
+    }
+
     /// Inferno-compatible folded stacks: one `path self_ns` line per
     /// ancestor path with nonzero self time, sorted by path.  Feed to
     /// `inferno-flamegraph` (or flamegraph.pl) for an SVG flamegraph;
@@ -257,10 +266,7 @@ impl Profiler {
             0 => format!("event {}", self.out.events + 1),
             n => format!("line {n}"),
         };
-        self.out.warning_count += 1;
-        if self.out.warnings.len() < WARNING_CAP {
-            self.out.warnings.push(format!("{at}: {msg}"));
-        }
+        self.out.warn(format!("{at}: {msg}"));
     }
 
     /// Folds one typed event.
@@ -428,13 +434,10 @@ impl Profiler {
         if !self.open.is_empty() {
             let mut names: Vec<&str> = self.open.values().map(|f| f.name.as_str()).collect();
             names.sort_unstable();
-            out.warning_count += 1;
-            if out.warnings.len() < WARNING_CAP {
-                out.warnings.push(format!(
-                    "{} spans never exited (their time is not counted): {names:?}",
-                    names.len()
-                ));
-            }
+            out.warn(format!(
+                "{} spans never exited (their time is not counted): {names:?}",
+                names.len()
+            ));
         }
         out
     }
