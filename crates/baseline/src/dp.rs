@@ -264,42 +264,7 @@ fn merge_hw_pair(prog: &mut TcamProgram, pi: usize, ci: usize, conv_key: Vec<Key
         key,
         entries,
     };
-    prune_unreachable_hw(prog);
-}
-
-/// Drops unreachable hardware states, remapping indices.
-fn prune_unreachable_hw(prog: &mut TcamProgram) {
-    let n = prog.states.len();
-    let mut seen = vec![false; n];
-    let mut stack = vec![prog.start.0];
-    while let Some(v) = stack.pop() {
-        if seen[v] {
-            continue;
-        }
-        seen[v] = true;
-        for e in &prog.states[v].entries {
-            if let HwNext::State(w) = e.next {
-                stack.push(w.0);
-            }
-        }
-    }
-    let mut map = vec![usize::MAX; n];
-    let mut new_states = Vec::new();
-    for (i, st) in prog.states.iter().enumerate() {
-        if seen[i] {
-            map[i] = new_states.len();
-            new_states.push(st.clone());
-        }
-    }
-    for st in &mut new_states {
-        for e in &mut st.entries {
-            if let HwNext::State(w) = e.next {
-                e.next = HwNext::State(HwStateId(map[w.0]));
-            }
-        }
-    }
-    prog.start = HwStateId(map[prog.start.0]);
-    prog.states = new_states;
+    prog.prune_unreachable();
 }
 
 /// Splits every state whose key exceeds `limit` into a left-to-right

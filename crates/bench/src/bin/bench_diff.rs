@@ -1,8 +1,7 @@
 //! Exact quality/status gate between two benchmark results files.
 //!
 //! ```text
-//! bench_diff old.json new.json            # text report; exit 1 on regression
-//! bench_diff old.json new.json --json     # + write results/bench_diff.json
+//! bench_diff old.json new.json    # text report; exit 1 on regression
 //! ```
 //!
 //! Compares two `results/table*.json` documents run-by-run (see
@@ -13,12 +12,11 @@
 //! error.
 
 use ph_bench::diff::diff;
-use ph_bench::report;
 use ph_obs::Json;
 use std::process::ExitCode;
 
 fn usage() -> ! {
-    eprintln!("usage: bench_diff <old.json> <new.json> [--json]");
+    eprintln!("usage: bench_diff <old.json> <new.json>");
     std::process::exit(2);
 }
 
@@ -40,12 +38,12 @@ fn load(path: &str) -> Json {
 }
 
 fn main() -> ExitCode {
-    let config = ph_bench::Config::from_env();
+    // Nothing here is configurable, but a stray `PH_*` name still fails
+    // closed like in every other binary.
+    ph_bench::Config::from_env();
     let mut paths = Vec::new();
-    let mut json = false;
     for a in std::env::args().skip(1) {
         match a.as_str() {
-            "--json" => json = true,
             "--help" | "-h" => usage(),
             _ => paths.push(a),
         }
@@ -56,20 +54,6 @@ fn main() -> ExitCode {
 
     let report = diff(&load(old_path), &load(new_path));
     print!("{}", report.render());
-
-    if json {
-        let doc = report::metadata("bench_diff")
-            .with("old", old_path.as_str())
-            .with("new", new_path.as_str())
-            .with("diff", report.to_json());
-        match report::write_results(&config.results_dir, "bench_diff", &doc) {
-            Ok(p) => eprintln!("bench_diff: wrote {}", p.display()),
-            Err(e) => {
-                eprintln!("bench_diff: cannot write bench_diff.json: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
 
     if report.regressed() {
         ExitCode::FAILURE

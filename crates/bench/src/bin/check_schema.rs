@@ -6,17 +6,14 @@
 //!
 //! Two file kinds, told apart by extension:
 //!
-//! * `.json` — a results document: must parse, carry `schema_version` 1,
-//!   a `table` name, git provenance, and a shape matching that table.
-//!   `table*` documents need a `rows` array whose embedded `stats`
-//!   objects decode as a `SynthStats`: the required keys are the
-//!   declaration's, so a new counter is required as soon as it is
-//!   declared; `profile` documents (from `trace_prof`) need the span
-//!   table; `bench_diff` documents need the per-run comparison rows (key,
-//!   verdict, notes), the unmatched runs and the overall verdict.  A
-//!   `.json` file carrying a top-level `cache_version` instead is a
-//!   `ph-svc` result-cache entry (`$PH_CACHE_DIR/<key>.json`): its
-//!   program and stats must decode with the decoders a cache hit runs.
+//! * `.json` — a `table*` results document (what `bench_diff` reads):
+//!   must parse, carry `schema_version` 1, a `table` name, git provenance
+//!   and a `rows` array of named rows whose embedded `stats` objects
+//!   decode as a `SynthStats` (the required keys are the declaration's,
+//!   so a new counter is required as soon as it is declared).  A `.json` file
+//!   carrying a top-level `cache_version` instead is a `ph-svc`
+//!   result-cache entry (`$PH_CACHE_DIR/<key>.json`): its program and
+//!   stats must decode with the decoders a cache hit runs.
 //! * `.jsonl` — a `PH_TRACE` trace: it must fold through
 //!   `ph_obs::profile::Profiler` without a warning — every line one JSON
 //!   event of a known kind with its fields and a `t_ns` stamp, stamps
@@ -29,7 +26,7 @@
 use ph_bench::report::SCHEMA_VERSION;
 use ph_core::SynthStats;
 use ph_obs::profile::profile_str;
-use ph_obs::{Histogram, Json, StatValue};
+use ph_obs::Json;
 use ph_svc::codec::program_from_json;
 use ph_svc::CACHE_FORMAT_VERSION;
 
@@ -80,153 +77,6 @@ fn check_stats(file: &str, v: &Json, exempt: &[&str]) -> usize {
         }
     }
     seen
-}
-
-/// Required keys of each divergence report (`Divergence::to_json`): string
-/// fields, integer fields, and state-path arrays.
-const DIVERGENCE_STR_KEYS: &[&str] = &[
-    "subject",
-    "generator",
-    "input",
-    "kind",
-    "spec_status",
-    "impl_status",
-];
-const DIVERGENCE_INT_KEYS: &[&str] = &["input_bits", "shrink_steps"];
-const DIVERGENCE_ARR_KEYS: &[&str] = &["spec_path", "impl_path"];
-
-/// Walks the document and validates every object inside an array that
-/// appears under a `divergences` key (the fuzzing oracle's reports).
-/// Returns how many divergence payloads were seen.
-fn check_divergences(file: &str, v: &Json) -> usize {
-    let mut seen = 0;
-    if let Some(fields) = v.as_obj() {
-        for (k, child) in fields {
-            // Counter payloads carry an integer `divergences` count; only
-            // the array form holds the structured reports.
-            if k == "divergences" && child.as_arr().is_some() {
-                let items = child.as_arr().unwrap();
-                for (i, d) in items.iter().enumerate() {
-                    seen += 1;
-                    for key in DIVERGENCE_STR_KEYS {
-                        if d.get(key).and_then(Json::as_str).is_none() {
-                            fail(file, format!("divergence {i} missing string key {key:?}"));
-                        }
-                    }
-                    for key in DIVERGENCE_INT_KEYS {
-                        if d.get(key).and_then(Json::as_i64).is_none() {
-                            fail(file, format!("divergence {i} missing integer key {key:?}"));
-                        }
-                    }
-                    for key in DIVERGENCE_ARR_KEYS {
-                        if d.get(key).and_then(Json::as_arr).is_none() {
-                            fail(file, format!("divergence {i} missing array key {key:?}"));
-                        }
-                    }
-                    if d.get("first_diff_field").is_none() {
-                        fail(
-                            file,
-                            format!("divergence {i} missing key \"first_diff_field\""),
-                        );
-                    }
-                }
-            }
-            seen += check_divergences(file, child);
-        }
-    } else if let Some(items) = v.as_arr() {
-        for item in items {
-            seen += check_divergences(file, item);
-        }
-    }
-    seen
-}
-
-/// Validates a `trace_prof` document (`results/profile.json`).
-fn check_profile(file: &str, doc: &Json) {
-    let Some(p) = doc.get("profile") else {
-        fail(file, "missing object field \"profile\"".into());
-    };
-    for key in ["lines", "events", "warning_count"] {
-        if p.get(key).and_then(Json::as_i64).is_none() {
-            fail(file, format!("profile.{key} missing or not an integer"));
-        }
-    }
-    if p.get("warnings").and_then(Json::as_arr).is_none() {
-        fail(file, "profile.warnings missing or not an array".into());
-    }
-    let Some(spans) = p.get("spans").and_then(Json::as_arr) else {
-        fail(file, "profile.spans missing or not an array".into());
-    };
-    for (i, s) in spans.iter().enumerate() {
-        if s.get("name").and_then(Json::as_str).is_none() {
-            fail(file, format!("profile.spans[{i}] has no \"name\""));
-        }
-        for key in ["calls", "total_ns", "self_ns"] {
-            if s.get(key).and_then(Json::as_i64).is_none() {
-                fail(
-                    file,
-                    format!("profile.spans[{i}].{key} missing or not an integer"),
-                );
-            }
-        }
-        let Some(dur) = s.get("dur") else {
-            fail(file, format!("profile.spans[{i}] has no \"dur\""));
-        };
-        if let Err(e) = Histogram::from_json(dur) {
-            fail(file, format!("profile.spans[{i}].dur: {e}"));
-        }
-    }
-    for key in ["counters", "gauges"] {
-        if p.get(key).and_then(Json::as_obj).is_none() {
-            fail(file, format!("profile.{key} missing or not an object"));
-        }
-    }
-    println!(
-        "check_schema: {file}: ok (profile: {} span names)",
-        spans.len()
-    );
-}
-
-/// Validates a `bench_diff` document (`results/bench_diff.json`).
-fn check_bench_diff(file: &str, doc: &Json) {
-    let Some(d) = doc.get("diff") else {
-        fail(file, "missing object field \"diff\"".into());
-    };
-    let Some(rows) = d.get("rows").and_then(Json::as_arr) else {
-        fail(file, "diff.rows missing or not an array".into());
-    };
-    for (i, r) in rows.iter().enumerate() {
-        for key in ["key", "verdict"] {
-            if r.get(key).and_then(Json::as_str).is_none() {
-                fail(
-                    file,
-                    format!("diff.rows[{i}].{key} missing or not a string"),
-                );
-            }
-        }
-        if r.get("notes").and_then(Json::as_arr).is_none() {
-            fail(
-                file,
-                format!("diff.rows[{i}].notes missing or not an array"),
-            );
-        }
-    }
-    if d.get("unmatched").and_then(Json::as_arr).is_none() {
-        fail(file, "diff.unmatched missing or not an array".into());
-    }
-    let Some(verdict) = d.get("verdict").and_then(Json::as_str) else {
-        fail(file, "diff.verdict missing or not a string".into());
-    };
-    if !["ok", "warning", "regression"].contains(&verdict) {
-        fail(
-            file,
-            format!("diff.verdict {verdict:?} is not a known verdict"),
-        );
-    }
-    println!(
-        "check_schema: {file}: ok (bench_diff: {} runs compared, verdict {verdict})",
-        rows.len()
-    );
 }
 
 /// Validates one `ph-svc` result-cache entry (`$PH_CACHE_DIR/<key>.json`),
@@ -303,12 +153,6 @@ fn check_results(file: &str, text: &str) {
     if doc.get("generated_unix").and_then(Json::as_i64).is_none() {
         fail(file, "missing integer field \"generated_unix\"".into());
     }
-    // The `table` field picks the document shape.
-    match doc.get("table").and_then(Json::as_str) {
-        Some("profile") => return check_profile(file, &doc),
-        Some("bench_diff") => return check_bench_diff(file, &doc),
-        _ => {}
-    }
     let Some(rows) = doc.get("rows").and_then(Json::as_arr) else {
         fail(file, "missing array field \"rows\"".into());
     };
@@ -318,9 +162,8 @@ fn check_results(file: &str, text: &str) {
         }
     }
     let stats = check_stats(file, &doc, NOT_IN_BASELINES);
-    let divergences = check_divergences(file, &doc);
     println!(
-        "check_schema: {file}: ok ({} rows, {stats} stats payloads, {divergences} divergences)",
+        "check_schema: {file}: ok ({} rows, {stats} stats payloads)",
         rows.len()
     );
 }

@@ -28,16 +28,15 @@
 //!   is caught with a shrunk witness (some flips are inert: shadowed
 //!   entries).
 //!
-//! Exits non-zero on any divergence (normal mode) or any uncaught
-//! corruption (corrupt mode), so CI can gate on it.  Besides the stdout
-//! table, a machine-readable `results/fuzz_e2e.json` records every case
-//! with its counters and full divergence reports.
+//! Prints one row per case and every divergence (or, in corrupt mode,
+//! every shrunk witness); exits non-zero on any divergence (normal mode)
+//! or any uncaught corruption (corrupt mode), so CI can gate on it.
 
-use ph_bench::{jobs_from_args, par_map, report, Config};
+use ph_bench::{jobs_from_args, par_map, Config};
 use ph_core::fuzz::{check_e2e, fuzz, FuzzConfig, FuzzReport, GATE_PACKETS};
-use ph_core::{OptConfig, SynthParams, Synthesizer};
+use ph_core::{OptConfig, SynthParams, Synthesizer, SYNTH_SEED};
 use ph_hw::{DeviceProfile, HwNext, TcamProgram};
-use ph_obs::{Json, Level};
+use ph_obs::Level;
 use std::time::Instant;
 
 /// Corruption candidates: each entry's action flipped in turn
@@ -116,7 +115,6 @@ fn main() {
             // Mutation testing through the gate `synthesize()` runs, at its
             // seed and budget: every flip is tried, the first caught one's
             // shrunk witness is kept (the gate names its subject "synth").
-            let seed = SynthParams::default().seed;
             let mut report = FuzzReport {
                 stats: Default::default(),
                 divergences: Vec::new(),
@@ -124,7 +122,7 @@ fn main() {
             let mut caught = None;
             let candidates = corruptions(&direct);
             for (bad, what) in &candidates {
-                let r = check_e2e(&case.spec, bad, seed, GATE_PACKETS).map_or_else(
+                let r = check_e2e(&case.spec, bad, SYNTH_SEED, GATE_PACKETS).map_or_else(
                     |refused| *refused,
                     |stats| FuzzReport {
                         stats,
@@ -193,7 +191,6 @@ fn main() {
         }
     });
 
-    let mut rows_json: Vec<Json> = Vec::new();
     let mut total_packets = 0u64;
     let mut total_divergences = 0u64;
     let mut total_shrink_steps = 0u64;
@@ -235,36 +232,6 @@ fn main() {
                 println!("    DIVERGENCE: {d}");
             }
         }
-
-        rows_json.push(
-            Json::obj()
-                .with("name", case.name.as_str())
-                .with(
-                    "subjects",
-                    Json::Arr(o.subjects.iter().map(|s| Json::from(s.as_str())).collect()),
-                )
-                .with("fuzz", o.report.stats.to_json())
-                .with(
-                    "divergences",
-                    Json::Arr(o.report.divergences.iter().map(|d| d.to_json()).collect()),
-                )
-                .with(
-                    "synth_note",
-                    match &o.synth_note {
-                        Some(n) => Json::from(n.as_str()),
-                        None => Json::Null,
-                    },
-                )
-                .with(
-                    "caught",
-                    match &o.caught {
-                        Some(w) => Json::from(w.as_str()),
-                        None => Json::Null,
-                    },
-                )
-                .with("mutants", o.mutants)
-                .with("time_s", o.time_s),
-        );
     }
 
     let wall = t0.elapsed().as_secs_f64();
@@ -281,31 +248,6 @@ fn main() {
         }
     }
 
-    let doc = report::metadata("fuzz_e2e")
-        .with("mode", if corrupt { "corrupt" } else { "check" })
-        .with("synth", do_synth && !corrupt)
-        .with("filter", filter)
-        .with("jobs", jobs as u64)
-        .with("packet_budget", if corrupt { GATE_PACKETS } else { 0 })
-        .with("rows", Json::Arr(rows_json))
-        .with(
-            "summary",
-            Json::obj()
-                .with("cases", cases.len())
-                .with("packets", total_packets)
-                .with("packets_per_sec", pps)
-                .with("divergences", total_divergences)
-                .with("shrink_steps", total_shrink_steps)
-                .with("wall_s", wall)
-                .with(
-                    "uncaught",
-                    Json::Arr(uncaught.iter().map(|&n| Json::from(n)).collect()),
-                ),
-        );
-    match report::write_results(&config.results_dir, "fuzz_e2e", &doc) {
-        Ok(path) => println!("structured results: {}", path.display()),
-        Err(e) => eprintln!("failed to write results file: {e}"),
-    }
     tracer.flush();
 
     let failed = if corrupt {

@@ -4,7 +4,6 @@
 //! ```text
 //! trace_prof trace.jsonl                # text top-N report on stdout
 //! trace_prof trace.jsonl --top 30
-//! trace_prof trace.jsonl --json         # + write results/profile.json
 //! trace_prof trace.jsonl --folded out.folded   # inferno folded stacks
 //! trace_prof trace.jsonl --min-coverage 99     # gate: exit 1 when a
 //!                                       # coverage below is lower
@@ -23,7 +22,6 @@
 //! profile anyway, with the problems listed as warnings; `check_schema`
 //! rejects a trace with any warning.
 
-use ph_bench::report;
 use ph_obs::profile::profile_reader;
 use std::process::ExitCode;
 
@@ -32,18 +30,19 @@ const COVERED_SPANS: [&str; 3] = ["cegis.run", "cegis.iter", "svc.op.submit"];
 
 fn usage() -> ! {
     eprintln!(
-        "usage: trace_prof <trace.jsonl> [--top N] [--json] [--folded FILE] \
+        "usage: trace_prof <trace.jsonl> [--top N] [--folded FILE] \
          [--min-coverage PCT]"
     );
     std::process::exit(2);
 }
 
 fn main() -> ExitCode {
-    let config = ph_bench::Config::from_env();
+    // Nothing here is configurable, but a stray `PH_*` name still fails
+    // closed like in every other binary.
+    ph_bench::Config::from_env();
     let mut args = std::env::args().skip(1);
     let mut input: Option<String> = None;
     let mut top = 20usize;
-    let mut json = false;
     let mut folded: Option<String> = None;
     let mut min_coverage: Option<f64> = None;
     while let Some(a) = args.next() {
@@ -54,7 +53,6 @@ fn main() -> ExitCode {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage())
             }
-            "--json" => json = true,
             "--folded" => folded = Some(args.next().unwrap_or_else(|| usage())),
             "--min-coverage" => {
                 min_coverage = Some(
@@ -91,19 +89,6 @@ fn main() -> ExitCode {
             "trace_prof: wrote {} folded stack lines to {fpath}",
             text.lines().count()
         );
-    }
-
-    if json {
-        let doc = report::metadata("profile")
-            .with("source", path.as_str())
-            .with("profile", profile.to_json());
-        match report::write_results(&config.results_dir, "profile", &doc) {
-            Ok(p) => eprintln!("trace_prof: wrote {}", p.display()),
-            Err(e) => {
-                eprintln!("trace_prof: cannot write profile.json: {e}");
-                return ExitCode::from(2);
-            }
-        }
     }
 
     let mut failed = false;

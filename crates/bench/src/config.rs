@@ -36,7 +36,8 @@ pub struct Config {
     /// numbered DIMACS file (simplification is then off; see
     /// [`ph_sat::set_cnf_dump_dir`]).
     pub dump_cnf: Option<PathBuf>,
-    /// `PH_RESULTS_DIR`: where the structured results files go.
+    /// `PH_RESULTS_DIR`: where the `table*` binaries write their results
+    /// files.
     pub results_dir: PathBuf,
     /// `PH_SVC_ADDR`: the daemon's address, for `phd` and `ph_client`.
     pub svc_addr: String,

@@ -241,33 +241,6 @@ impl DiffReport {
         out
     }
 
-    /// The report as a JSON object (embedded in the `bench_diff` results
-    /// document; `check_schema` validates the shape).
-    pub fn to_json(&self) -> Json {
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| {
-                Json::obj()
-                    .with("key", r.key.as_str())
-                    .with("verdict", r.verdict.as_str())
-                    .with(
-                        "notes",
-                        Json::Arr(r.notes.iter().map(|n| Json::from(n.as_str())).collect()),
-                    )
-            })
-            .collect();
-        let unmatched = self
-            .unmatched
-            .iter()
-            .map(|(k, side)| Json::obj().with("key", k.as_str()).with("side", *side))
-            .collect();
-        Json::obj()
-            .with("rows", Json::Arr(rows))
-            .with("unmatched", Json::Arr(unmatched))
-            .with("verdict", self.verdict.as_str())
-    }
-
     /// Whether the diff should fail the build.
     pub fn regressed(&self) -> bool {
         self.verdict == Verdict::Regression
@@ -380,24 +353,5 @@ mod tests {
         let r = diff(&a, &b);
         assert_eq!(r.verdict, Verdict::Warning);
         assert_eq!(r.unmatched.len(), 2);
-    }
-
-    #[test]
-    fn report_json_shape() {
-        let a = doc(vec![row(
-            "x",
-            run(true, 3.0, 30.0, 5),
-            run(true, 8.0, 30.0, 9),
-        )]);
-        let j = diff(&a, &a).to_json();
-        for key in ["rows", "unmatched", "verdict"] {
-            assert!(j.get(key).is_some(), "missing {key}");
-        }
-        let rows = j.get("rows").unwrap().as_arr().unwrap();
-        for r in rows {
-            for key in ["key", "verdict", "notes"] {
-                assert!(r.get(key).is_some(), "row missing {key}");
-            }
-        }
     }
 }

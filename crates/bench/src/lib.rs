@@ -3,8 +3,9 @@
 //! The experiment harness: shared runners behind the `table3`, `table4`
 //! and `table5` binaries that regenerate the paper's tables, plus helper
 //! formatting (geometric means, timeout rows).  The other binaries check
-//! what those tables produce: `check_schema` validates results files and
-//! traces, `bench_diff` is the exact quality/status gate against the
+//! what those tables produce: `check_schema` validates the documents
+//! other code reads back (`table*` results, result-cache entries and
+//! traces), `bench_diff` is the exact quality/status gate against the
 //! committed `results/table*.json` baselines, `trace_prof` profiles a
 //! trace, `fuzz_e2e` is the differential fuzzing oracle, `cnf_replay`
 //! measures the CNF simplifier on byte-identical query streams, and

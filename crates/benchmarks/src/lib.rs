@@ -10,9 +10,10 @@
 //!   Table 4 motivating examples.
 //! * [`rewrite`] — the rewrite rules: R1 add/remove redundant entries, R2
 //!   add unreachable entries, R3 split/merge entries, R4 split/merge
-//!   transition keys, R5 split/merge parser states, and loop unrolling.
-//!   Every rule is semantics-preserving and property-tested against the
-//!   reference simulator.
+//!   transition keys, R5 split/merge parser states.  Every rule is
+//!   semantics-preserving and property-tested against the reference
+//!   simulator; the "+ unroll loop" case uses the synthesizer's own
+//!   unroller (`ph_core::cegis::unroll_spec`).
 //! * [`packets`] — crafted packet generators (the Scapy substitute of
 //!   §7.1): Ethernet/IPv4/TCP frames as bitstreams for end-to-end checks.
 //! * [`registry`] — the Table 3 case list: every (benchmark, rewrites) pair

@@ -58,7 +58,7 @@ pub fn registry() -> Vec<Case> {
     out.push(case(mpls.name, mpls.spec.clone()));
     out.push(case(
         "Parse MPLS + unroll loop",
-        rewrite::unroll(&mpls.spec, 6),
+        ph_core::cegis::unroll_spec(&mpls.spec, 6),
     ));
     out.push(case(
         "Parse MPLS - R1",

@@ -268,43 +268,9 @@ pub fn r5_merge_states(spec: &ParserSpec) -> ParserSpec {
         parent.transitions = child.transitions;
         parent.default = child.default;
         parent.name = format!("{}+{}", parent.name, child.name);
-        out = prune(&out);
+        out = ph_ir::analysis::prune_unreachable(&out);
     }
     out
-}
-
-/// Loop unrolling ("+ unroll loop"): delegate to the synthesizer's
-/// bounded unroller.
-pub fn unroll(spec: &ParserSpec, depth: usize) -> ParserSpec {
-    ph_core::cegis::unroll_spec(spec, depth)
-}
-
-fn prune(spec: &ParserSpec) -> ParserSpec {
-    let reach = ph_ir::analysis::reachable_states(spec);
-    let mut map = vec![usize::MAX; spec.states.len()];
-    for (new, s) in reach.iter().enumerate() {
-        map[s.0] = new;
-    }
-    let remap = |n: NextState| match n {
-        NextState::State(s) => NextState::State(StateId(map[s.0])),
-        other => other,
-    };
-    let states = reach
-        .iter()
-        .map(|&s| {
-            let mut st = spec.state(s).clone();
-            for tr in st.transitions.iter_mut() {
-                tr.next = remap(tr.next);
-            }
-            st.default = remap(st.default);
-            st
-        })
-        .collect();
-    ParserSpec {
-        fields: spec.fields.clone(),
-        states,
-        start: StateId(map[spec.start.0]),
-    }
 }
 
 #[cfg(test)]
@@ -422,7 +388,7 @@ mod tests {
         let b = suite::parse_mpls();
         // Depth 24 covers every run on the test inputs (≤ ~56 bits, ≥ 4
         // bits consumed per visit).
-        let unrolled = unroll(&b.spec, 24);
+        let unrolled = ph_core::cegis::unroll_spec(&b.spec, 24);
         assert!(ph_ir::analysis::is_loop_free(&unrolled));
         assert_equiv(&b.spec, &unrolled, 300, 9);
     }

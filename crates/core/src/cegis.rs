@@ -21,7 +21,10 @@ use crate::encode::encode_impl;
 use crate::reduce::reduce_spec;
 use crate::skeleton::{self, build_shape, build_vars, ConcreteSkel, Shape};
 use crate::specenc::{encode_spec_paths, mismatch_term};
-use crate::{fuzz, post, OptConfig, SynthError, SynthOutput, SynthParams, SynthStats};
+use crate::{
+    fuzz, post, OptConfig, SynthError, SynthOutput, SynthParams, SynthStats, MAX_CEGIS_ITERS,
+    SPARE_STATES, SYNTH_SEED,
+};
 use ph_bits::{BitString, Rng};
 use ph_hw::DeviceProfile;
 use ph_ir::{analysis, NextState, ParseStatus, ParserSpec, StateId};
@@ -71,36 +74,8 @@ pub fn unroll_spec(spec: &ParserSpec, depth: usize) -> ParserSpec {
         }
     }
     out.start = StateId(spec.start.0);
-    prune(&out)
-}
-
-/// Drops unreachable states (the unrolled product is mostly unreachable).
-fn prune(spec: &ParserSpec) -> ParserSpec {
-    let reach = analysis::reachable_states(spec);
-    let mut map = vec![usize::MAX; spec.states.len()];
-    for (new, s) in reach.iter().enumerate() {
-        map[s.0] = new;
-    }
-    let remap = |n: NextState| match n {
-        NextState::State(s) => NextState::State(StateId(map[s.0])),
-        other => other,
-    };
-    let states = reach
-        .iter()
-        .map(|&s| {
-            let mut st = spec.state(s).clone();
-            for tr in st.transitions.iter_mut() {
-                tr.next = remap(tr.next);
-            }
-            st.default = remap(st.default);
-            st
-        })
-        .collect();
-    ParserSpec {
-        fields: spec.fields.clone(),
-        states,
-        start: StateId(map[spec.start.0]),
-    }
+    // The unrolled product is mostly unreachable.
+    analysis::prune_unreachable(&out)
 }
 
 /// Runs one full synthesis (no Opt7 racing).  `interrupt` cancels the run
@@ -165,8 +140,7 @@ pub fn synthesize_one(
         compute_bounds(&reduced.spec, params.max_loop_iters).map_err(SynthError::Unsupported)?;
     let shape = {
         let _s = tracer.span("synth.skeleton");
-        build_shape(&reduced, device, opts, loopy, params.spare_states)
-            .map_err(SynthError::Unsupported)?
+        build_shape(&reduced, device, opts, loopy, SPARE_STATES).map_err(SynthError::Unsupported)?
     };
 
     run_cegis(
@@ -174,27 +148,24 @@ pub fn synthesize_one(
         &reduced.spec,
         &shape,
         device,
-        params,
         bounds,
         interrupt,
         t0,
     )
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_cegis(
     orig_spec: &ParserSpec,
     red_spec: &ParserSpec,
     shape: &Shape,
     device: &DeviceProfile,
-    params: &SynthParams,
     bounds: Bounds,
     interrupt: Interrupt,
     t0: Instant,
 ) -> Result<SynthOutput, SynthError> {
     let tracer = ph_obs::current();
     let mut stats = SynthStats::default();
-    let mut rng = Rng::seed_from_u64(params.seed);
+    let mut rng = Rng::seed_from_u64(SYNTH_SEED);
     let l = bounds.input_bits.max(1);
     let k_impl = shape_k(shape, &bounds);
     let k_spec = bounds.spec_iters + 1;
@@ -283,13 +254,13 @@ fn run_cegis(
         };
 
         // Inner CEGIS at this budget.
-        for _iter in 0..params.max_cegis_iters {
+        for _iter in 0..MAX_CEGIS_ITERS {
             if interrupt.is_set() {
                 tracer.msg(Level::Debug, "interrupted mid-descent");
                 stats.wall = t0.elapsed();
                 stats.synth_sat = smt.solver_stats();
                 stats.verify_sat = verifier.solver_stats();
-                return finish_or_timeout(best, shape, orig_spec, device, params, stats);
+                return finish_or_timeout(best, shape, orig_spec, device, stats);
             }
             stats.cegis_iterations += 1;
             let _iter_span = tracer.span("cegis.iter");
@@ -419,7 +390,7 @@ fn run_cegis(
             stats.wall.as_secs_f64()
         )
     });
-    finish_or_timeout(best, shape, orig_spec, device, params, stats)
+    finish_or_timeout(best, shape, orig_spec, device, stats)
 }
 
 /// Asserts that the implementation over `terms` parses `input` exactly as
@@ -712,7 +683,6 @@ fn finish_or_timeout(
     shape: &Shape,
     orig_spec: &ParserSpec,
     device: &DeviceProfile,
-    params: &SynthParams,
     stats: SynthStats,
 ) -> Result<SynthOutput, SynthError> {
     let Some(conc) = best else {
@@ -723,7 +693,7 @@ fn finish_or_timeout(
     let tracer = ph_obs::current();
     {
         let _span = tracer.span("synth.validate");
-        fuzz::check_e2e(orig_spec, &program, params.seed, fuzz::GATE_PACKETS)
+        fuzz::check_e2e(orig_spec, &program, SYNTH_SEED, fuzz::GATE_PACKETS)
             .map_err(|e| SynthError::ValidationFailed(e.to_string()))?;
     }
     let violations = ph_hw::check_program(&program, &orig_spec.fields);
@@ -767,7 +737,7 @@ mod tests {
             };
             let red = reduce_spec(&working, opts).unwrap();
             let bounds = compute_bounds(&red.spec, params.max_loop_iters).unwrap();
-            let shape = build_shape(&red, device, opts, loopy, params.spare_states).unwrap();
+            let shape = build_shape(&red, device, opts, loopy, SPARE_STATES).unwrap();
             let l = bounds.input_bits.max(1);
             let (k_impl, k_spec) = (shape_k(&shape, &bounds), bounds.spec_iters + 1);
             let mut smt = Smt::new();

@@ -34,10 +34,9 @@
 //! [`check_e2e`] is the final gate of `synthesize()`: [`GATE_PACKETS`]
 //! packets, the first disagreement ddmin-shrunk to a minimal bitstream and
 //! reported as a structured [`Divergence`] (state paths, first differing
-//! dictionary field, machine-readable via [`Divergence::to_json`]).  The
-//! `fuzz_e2e` binary runs [`fuzz`] unbounded and three-way-compares the
-//! synthesized program and the baseline `direct_translate` program against
-//! the spec.
+//! dictionary field).  The `fuzz_e2e` binary runs [`fuzz`] unbounded and
+//! three-way-compares the synthesized program and the baseline
+//! `direct_translate` program against the spec.
 
 use ph_bits::{BitString, Rng};
 use ph_hw::{run_program, TcamProgram};
@@ -45,7 +44,6 @@ use ph_ir::{
     analysis, simulate, varbit_len, FieldKind, KeyPart, NextState, ParseStatus, ParserSpec,
     SimResult, State, StateId,
 };
-use ph_obs::Json;
 
 /// Packets the final gate of `synthesize()` compares ([`check_e2e`]).
 pub const GATE_PACKETS: usize = 400;
@@ -136,32 +134,6 @@ pub struct Divergence {
     pub first_diff_field: Option<String>,
     /// ddmin trials spent minimizing `input`.
     pub shrink_steps: u64,
-}
-
-impl Divergence {
-    /// The divergence as a JSON object (the `results/fuzz_e2e.json` and
-    /// trace payload; `check_schema` validates this shape).
-    pub fn to_json(&self) -> Json {
-        let path_json = |p: &[usize]| Json::Arr(p.iter().map(|&s| Json::from(s as u64)).collect());
-        Json::obj()
-            .with("subject", self.subject.as_str())
-            .with("generator", self.generator)
-            .with("input", self.input.to_string())
-            .with("input_bits", self.input.len())
-            .with("kind", self.kind.as_str())
-            .with("spec_status", format!("{:?}", self.spec_status).as_str())
-            .with("impl_status", format!("{:?}", self.impl_status).as_str())
-            .with("spec_path", path_json(&self.spec_path))
-            .with("impl_path", path_json(&self.impl_path))
-            .with(
-                "first_diff_field",
-                match &self.first_diff_field {
-                    Some(f) => Json::from(f.as_str()),
-                    None => Json::Null,
-                },
-            )
-            .with("shrink_steps", self.shrink_steps)
-    }
 }
 
 impl std::fmt::Display for Divergence {
@@ -984,35 +956,6 @@ mod tests {
         let report = fuzz(&spec, &[("direct", &prog)], &FuzzConfig::default());
         assert!(report.clean(), "{:?}", report.divergences);
         assert!(report.stats.packets > 10);
-    }
-
-    #[test]
-    fn divergence_json_shape() {
-        let d = Divergence {
-            subject: "synth".into(),
-            generator: "flip",
-            input: BitString::from_u64(0b1010, 4),
-            kind: DivergenceKind::Dict,
-            spec_status: ParseStatus::Accept,
-            impl_status: ParseStatus::Accept,
-            spec_path: vec![0, 1],
-            impl_path: vec![0, 2],
-            first_diff_field: Some("opts".into()),
-            shrink_steps: 17,
-        };
-        let j = Json::parse(&d.to_json().to_string()).unwrap();
-        assert_eq!(j.get("kind").and_then(Json::as_str), Some("dict"));
-        assert_eq!(j.get("input").and_then(Json::as_str), Some("1010"));
-        assert_eq!(j.get("input_bits").and_then(Json::as_i64), Some(4));
-        assert_eq!(j.get("shrink_steps").and_then(Json::as_i64), Some(17));
-        assert_eq!(
-            j.get("first_diff_field").and_then(Json::as_str),
-            Some("opts")
-        );
-        assert_eq!(
-            j.get("spec_path").and_then(Json::as_arr).map(|a| a.len()),
-            Some(2)
-        );
     }
 
     /// Fig. 7's two-state spec: `ty == 7` parses `a_t`, anything else

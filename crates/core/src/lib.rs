@@ -221,19 +221,25 @@ impl fmt::Debug for CacheHook {
     }
 }
 
-/// Knobs of a synthesis run.
+/// Cap on CEGIS iterations per budget level.
+pub const MAX_CEGIS_ITERS: usize = 160;
+
+/// Extra no-extraction states available for key splitting; `None` lets
+/// [`skeleton::build_shape`] size them from the spec's widest key.
+pub const SPARE_STATES: Option<usize> = None;
+
+/// Seed of a synthesis run's initial test cases and of its final
+/// [`fuzz::check_e2e`] gate.
+pub const SYNTH_SEED: u64 = 0x9aa5;
+
+/// Knobs of a synthesis run.  What no caller varies is a constant:
+/// [`MAX_CEGIS_ITERS`], [`SPARE_STATES`] and [`SYNTH_SEED`].
 #[derive(Clone, Debug)]
 pub struct SynthParams {
     /// Wall-clock budget; `None` = unlimited.
     pub timeout: Option<Duration>,
-    /// Cap on CEGIS iterations per budget level.
-    pub max_cegis_iters: usize,
     /// Cap on loop unrolling for loopy specifications.
     pub max_loop_iters: usize,
-    /// Extra no-extraction states available for key splitting.
-    pub spare_states: Option<usize>,
-    /// Random seed for initial test-case generation.
-    pub seed: u64,
     /// Run-scoped tracer.  `Some` installs the tracer as the thread tracer
     /// for the run's duration (Opt7 race branches derive per-branch
     /// streams from it); `None` inherits the ambient [`ph_obs::current`]
@@ -251,10 +257,7 @@ impl Default for SynthParams {
     fn default() -> Self {
         SynthParams {
             timeout: Some(Duration::from_secs(120)),
-            max_cegis_iters: 160,
             max_loop_iters: 8,
-            spare_states: None,
-            seed: 0x9aa5,
             tracer: None,
             cache: None,
         }

@@ -16,46 +16,11 @@ use ph_hw::{DeviceProfile, HwEntry, HwNext, HwState, HwStateId, TcamProgram};
 /// Runs every post-synthesis pass in order.  `fields` is the original
 /// specification's field table (extraction widths).
 pub fn optimize(prog: &mut TcamProgram, device: &DeviceProfile, fields: &[ph_ir::Field]) {
-    prune_unreachable(prog);
+    prog.prune_unreachable();
     merge_chains(prog);
-    prune_unreachable(prog);
+    prog.prune_unreachable();
     split_wide_extractions_with(prog, fields, device.extraction_limit);
     compact_stages(prog);
-}
-
-/// Drops unreachable states and remaps indices.
-pub fn prune_unreachable(prog: &mut TcamProgram) {
-    let n = prog.states.len();
-    let mut seen = vec![false; n];
-    let mut stack = vec![prog.start.0];
-    while let Some(v) = stack.pop() {
-        if seen[v] {
-            continue;
-        }
-        seen[v] = true;
-        for e in &prog.states[v].entries {
-            if let HwNext::State(w) = e.next {
-                stack.push(w.0);
-            }
-        }
-    }
-    let mut map = vec![usize::MAX; n];
-    let mut states = Vec::new();
-    for (i, st) in prog.states.iter().enumerate() {
-        if seen[i] {
-            map[i] = states.len();
-            states.push(st.clone());
-        }
-    }
-    for st in &mut states {
-        for e in &mut st.entries {
-            if let HwNext::State(w) = e.next {
-                e.next = HwNext::State(HwStateId(map[w.0]));
-            }
-        }
-    }
-    prog.start = HwStateId(map[prog.start.0]);
-    prog.states = states;
 }
 
 /// True when the state unconditionally forwards: exactly one entry whose
@@ -95,7 +60,7 @@ pub fn merge_chains(prog: &mut TcamProgram) {
             return;
         }
         // t is now unreachable (or was already); prune and continue.
-        prune_unreachable(prog);
+        prog.prune_unreachable();
         if prog.states.len() <= 1 {
             return;
         }
@@ -235,16 +200,6 @@ mod tests {
         ]);
         merge_chains(&mut p);
         assert_eq!(p.states.len(), 2);
-    }
-
-    #[test]
-    fn unreachable_pruned() {
-        let mut p = prog(vec![
-            state("a", 0, vec![entry(HwNext::Accept, vec![])]),
-            state("zombie", 0, vec![entry(HwNext::Accept, vec![])]),
-        ]);
-        prune_unreachable(&mut p);
-        assert_eq!(p.states.len(), 1);
     }
 
     #[test]

@@ -164,6 +164,11 @@ pub struct SkelVars {
 
 /// Builds the skeleton structure from the reduced spec.
 ///
+/// `spare_override` fixes the number of spare key-checking states; `None`
+/// sizes them from the spec's widest key.  Every caller passes `None`
+/// (synthesis passes [`crate::SPARE_STATES`]); the parameter stays because
+/// the benchmark ledger's per-layer timing calls this function with it.
+///
 /// # Errors
 ///
 /// Returns a message for unsupported shapes (e.g. lookahead beyond the

@@ -1,14 +1,12 @@
 //! Integration tests of the differential fuzzing oracle: the final gate
 //! inside `synthesize()` and its mutation corpus, corruption detection
-//! with minimal shrunk witnesses, and the machine-readable divergence
-//! reports.
+//! with minimal shrunk witnesses, and the structured divergence reports.
 
 use ph_baseline::translate::direct_translate;
-use ph_core::fuzz::{check_e2e, fuzz, FuzzConfig, GATE_PACKETS};
-use ph_core::{OptConfig, SynthParams, Synthesizer};
+use ph_core::fuzz::{check_e2e, fuzz, DivergenceKind, FuzzConfig, GATE_PACKETS};
+use ph_core::{OptConfig, SynthParams, Synthesizer, SYNTH_SEED};
 use ph_hw::{run_program, DeviceProfile, HwNext};
 use ph_ir::simulate;
-use ph_obs::Json;
 use ph_p4f::parse_parser;
 
 fn two_state_spec() -> ph_ir::ParserSpec {
@@ -40,10 +38,10 @@ fn synthesize_with_e2e_gate_passes() {
 
 /// The mutation corpus: every registry case's `direct_translate` program
 /// with one entry's `next` flipped (accept or a state becomes reject,
-/// reject becomes accept), checked by the gate at its budget and the
-/// default synthesis seed.  A mutant counts as caught only when the gate
-/// reports a divergence (not when it refuses a vacuous run).  Some flips
-/// are inert (shadowed entries), so not all 282 can be caught.
+/// reject becomes accept), checked by the gate at its budget and seed
+/// ([`SYNTH_SEED`]).  A mutant counts as caught only when the gate reports
+/// a divergence (not when it refuses a vacuous run).  Some flips are inert
+/// (shadowed entries), so not all 282 can be caught.
 ///
 /// The floor of 259 is what the two checkers this gate replaced caught
 /// together, measured on the same corpus, budget and seed: 400 constant-
@@ -53,7 +51,6 @@ fn synthesize_with_e2e_gate_passes() {
 #[test]
 fn gate_catches_the_next_flip_corpus() {
     let device = DeviceProfile::tofino();
-    let seed = SynthParams::default().seed;
     let (mut caught, mut total) = (0, 0);
     let mut missed = Vec::new();
     for case in ph_benchmarks::registry() {
@@ -66,7 +63,7 @@ fn gate_catches_the_next_flip_corpus() {
                     _ => HwNext::Reject,
                 };
                 total += 1;
-                if matches!(check_e2e(&case.spec, &bad, seed, GATE_PACKETS),
+                if matches!(check_e2e(&case.spec, &bad, SYNTH_SEED, GATE_PACKETS),
                             Err(r) if !r.clean())
                 {
                     caught += 1;
@@ -149,25 +146,16 @@ fn check_e2e_gates_on_divergence() {
     let err = check_e2e(&spec, &bad, 1, 500).expect_err("corruption must be caught");
     let d = &err.divergences[0];
     assert!(d.shrink_steps > 0);
-    // The report is machine-readable and schema-complete.
-    let j = Json::parse(&d.to_json().to_string()).unwrap();
-    for key in [
-        "subject",
-        "generator",
-        "input",
-        "kind",
-        "spec_status",
-        "impl_status",
-    ] {
-        assert!(j.get(key).and_then(Json::as_str).is_some(), "missing {key}");
-    }
-    for key in ["input_bits", "shrink_steps"] {
-        assert!(j.get(key).and_then(Json::as_i64).is_some(), "missing {key}");
-    }
-    for key in ["spec_path", "impl_path"] {
-        assert!(j.get(key).and_then(Json::as_arr).is_some(), "missing {key}");
-    }
-    assert!(j.get("first_diff_field").is_some());
+    // The report is complete: the gate's subject, the generator, the
+    // shrunk input, both statuses and state paths; a status divergence
+    // names no dictionary field.
+    assert_eq!(d.subject, "synth");
+    assert!(!d.generator.is_empty());
+    assert!(!d.input.is_empty());
+    assert_eq!(d.kind, DivergenceKind::Status);
+    assert_ne!(d.spec_status, d.impl_status);
+    assert!(!d.spec_path.is_empty() && !d.impl_path.is_empty());
+    assert_eq!(d.first_diff_field, None);
 }
 
 #[test]

@@ -126,6 +126,42 @@ impl TcamProgram {
     pub fn state(&self, s: HwStateId) -> &HwState {
         &self.states[s.0]
     }
+
+    /// Drops the states the start state cannot reach, renumbering the
+    /// rest in their original order.
+    pub fn prune_unreachable(&mut self) {
+        let n = self.states.len();
+        let mut seen = vec![false; n];
+        let mut stack = vec![self.start.0];
+        while let Some(v) = stack.pop() {
+            if seen[v] {
+                continue;
+            }
+            seen[v] = true;
+            for e in &self.states[v].entries {
+                if let HwNext::State(w) = e.next {
+                    stack.push(w.0);
+                }
+            }
+        }
+        let mut map = vec![usize::MAX; n];
+        let mut states = Vec::new();
+        for (i, st) in self.states.iter().enumerate() {
+            if seen[i] {
+                map[i] = states.len();
+                states.push(st.clone());
+            }
+        }
+        for st in &mut states {
+            for e in &mut st.entries {
+                if let HwNext::State(w) = e.next {
+                    e.next = HwNext::State(HwStateId(map[w.0]));
+                }
+            }
+        }
+        self.start = HwStateId(map[self.start.0]);
+        self.states = states;
+    }
 }
 
 impl fmt::Display for TcamProgram {
@@ -203,6 +239,23 @@ mod tests {
             ],
             start: HwStateId(0),
         }
+    }
+
+    #[test]
+    fn unreachable_pruned() {
+        let mut p = tiny_program();
+        p.states.insert(
+            1,
+            HwState {
+                name: "zombie".into(),
+                stage: 0,
+                key: vec![],
+                entries: vec![HwEntry::catch_all(0, HwNext::Accept)],
+            },
+        );
+        p.states[0].entries[0].next = HwNext::State(HwStateId(2));
+        p.prune_unreachable();
+        assert_eq!(p, tiny_program());
     }
 
     #[test]

@@ -39,6 +39,36 @@ pub fn reachable_states(spec: &ParserSpec) -> Vec<StateId> {
     order
 }
 
+/// The spec without the states the start state cannot reach, the rest
+/// renumbered in [`reachable_states`] order.
+pub fn prune_unreachable(spec: &ParserSpec) -> ParserSpec {
+    let reach = reachable_states(spec);
+    let mut map = vec![usize::MAX; spec.states.len()];
+    for (new, s) in reach.iter().enumerate() {
+        map[s.0] = new;
+    }
+    let remap = |n: NextState| match n {
+        NextState::State(s) => NextState::State(StateId(map[s.0])),
+        other => other,
+    };
+    let states = reach
+        .iter()
+        .map(|&s| {
+            let mut st = spec.state(s).clone();
+            for tr in st.transitions.iter_mut() {
+                tr.next = remap(tr.next);
+            }
+            st.default = remap(st.default);
+            st
+        })
+        .collect();
+    ParserSpec {
+        fields: spec.fields.clone(),
+        states,
+        start: StateId(map[spec.start.0]),
+    }
+}
+
 /// True when no cycle is reachable from the start state.
 pub fn is_loop_free(spec: &ParserSpec) -> bool {
     #[derive(Clone, Copy, PartialEq)]

@@ -189,56 +189,6 @@ impl Profile {
         }
         out
     }
-
-    /// The profile as a JSON object (merged into the `results/profile.json`
-    /// document by `trace_prof`; `check_schema` validates the shape).
-    pub fn to_json(&self) -> Json {
-        let spans = self
-            .spans
-            .iter()
-            .map(|(name, st)| {
-                Json::obj()
-                    .with("name", name.as_str())
-                    .with("calls", st.calls)
-                    .with("total_ns", st.total_ns)
-                    .with("self_ns", st.self_ns)
-                    .with("dur", st.dur.summary_json())
-            })
-            .collect();
-        let records = self
-            .records
-            .iter()
-            .map(|(name, h)| {
-                Json::obj()
-                    .with("name", name.as_str())
-                    .with("hist", h.summary_json())
-            })
-            .collect();
-        let obj_of = |m: &BTreeMap<String, u64>| {
-            let mut o = Json::obj();
-            for (k, v) in m {
-                o.set(k, *v);
-            }
-            o
-        };
-        Json::obj()
-            .with("lines", self.lines)
-            .with("events", self.events)
-            .with("warning_count", self.warning_count)
-            .with(
-                "warnings",
-                Json::Arr(
-                    self.warnings
-                        .iter()
-                        .map(|w| Json::from(w.as_str()))
-                        .collect(),
-                ),
-            )
-            .with("spans", Json::Arr(spans))
-            .with("records", Json::Arr(records))
-            .with("counters", obj_of(&self.counters))
-            .with("gauges", obj_of(&self.gauges))
-    }
 }
 
 /// Streaming profile builder: [`Profiler::feed`] each event (or
@@ -633,36 +583,5 @@ mod tests {
         assert!(p.spans.is_empty());
         let text = p.render(10);
         assert!(text.contains("warning:"), "{text}");
-        // JSON export also survives.
-        let j = p.to_json();
-        assert!(j.get("warnings").unwrap().as_arr().unwrap().len() >= 6);
-    }
-
-    #[test]
-    fn profile_json_shape() {
-        let p = profile_str(&golden());
-        let j = p.to_json();
-        for key in [
-            "lines",
-            "events",
-            "warning_count",
-            "warnings",
-            "spans",
-            "records",
-            "counters",
-            "gauges",
-        ] {
-            assert!(j.get(key).is_some(), "missing {key}");
-        }
-        let spans = j.get("spans").unwrap().as_arr().unwrap();
-        assert_eq!(spans.len(), 3);
-        for s in spans {
-            for key in ["name", "calls", "total_ns", "self_ns", "dur"] {
-                assert!(s.get(key).is_some(), "span missing {key}");
-            }
-        }
-        // The whole document round-trips through the printer/parser.
-        let text = j.to_pretty();
-        assert_eq!(&Json::parse(&text).unwrap(), &j);
     }
 }

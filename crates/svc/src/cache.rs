@@ -10,10 +10,11 @@
 //! * the device model's numeric limits and architecture (the display
 //!   *name* is excluded — `tofino` and a renamed copy are the same
 //!   hardware);
-//! * the full [`OptConfig`] and the result-determining [`SynthParams`]
-//!   fields (`max_cegis_iters`, `max_loop_iters`, `spare_states`,
-//!   `seed`).  `timeout` and tracing change how long a run takes, never
-//!   what it produces, and are excluded;
+//! * the full [`OptConfig`], the result-determining [`SynthParams`] field
+//!   `max_loop_iters` and the run constants [`ph_core::MAX_CEGIS_ITERS`],
+//!   [`ph_core::SPARE_STATES`] and [`ph_core::SYNTH_SEED`].  `timeout`,
+//!   tracing and the cache hook change how long a run takes, never what
+//!   it produces, and are excluded;
 //! * [`CACHE_FORMAT_VERSION`], so a format change invalidates every old
 //!   entry at once.
 //!
@@ -40,7 +41,10 @@
 
 use crate::codec;
 use ph_bits::Sha256;
-use ph_core::{CacheQuery, OptConfig, SynthCache, SynthOutput, SynthParams};
+use ph_core::{
+    CacheQuery, OptConfig, SynthCache, SynthOutput, SynthParams, MAX_CEGIS_ITERS, SPARE_STATES,
+    SYNTH_SEED,
+};
 use ph_hw::DeviceProfile;
 use ph_ir::canon::{canonicalize, spec_fingerprint_text, Canon};
 use ph_ir::{FieldId, KeyPart, ParserSpec};
@@ -138,8 +142,8 @@ impl DiskCache {
         );
         let _ = writeln!(
             pre,
-            "params cegis={} loop={} spare={:?} seed={}",
-            params.max_cegis_iters, params.max_loop_iters, params.spare_states, params.seed,
+            "params cegis={MAX_CEGIS_ITERS} loop={} spare={SPARE_STATES:?} seed={SYNTH_SEED}",
+            params.max_loop_iters,
         );
         Sha256::digest_hex(pre.as_bytes())
     }
@@ -476,13 +480,13 @@ mod tests {
             DiskCache::key(&spec, &tofino, opts, &params),
             DiskCache::key(&spec, &smaller, opts, &params)
         );
-        let reseeded = SynthParams {
-            seed: params.seed + 1,
+        let shallower = SynthParams {
+            max_loop_iters: params.max_loop_iters - 1,
             ..SynthParams::default()
         };
         assert_ne!(
             DiskCache::key(&spec, &tofino, opts, &params),
-            DiskCache::key(&spec, &tofino, opts, &reseeded)
+            DiskCache::key(&spec, &tofino, opts, &shallower)
         );
         let mut fewer_opts = opts;
         fewer_opts.opt4_constants = false;

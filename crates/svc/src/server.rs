@@ -424,11 +424,15 @@ fn handle_submit(shared: &Shared, req: Box<SubmitReq>) -> Json {
     if deduped {
         shared.counters.dedup_hits.fetch_add(1, Ordering::Relaxed);
         tracer.count("svc.dedup", 1);
-    } else {
-        shared.queue_cv.notify_one();
     }
     let result = {
+        // Open before the wake-up: the woken worker and its race threads
+        // can take every core before this thread runs again, and that
+        // time is waiting, not `svc.op.submit`'s own.
         let _span = tracer.span("svc.flight.wait");
+        if !deduped {
+            shared.queue_cv.notify_one();
+        }
         flight.wait()
     };
     submit_response(key, deduped, result)
