@@ -5,8 +5,8 @@
 //! environment once and fails closed: an unknown `PH_*` name or a value
 //! that does not parse exits with status 2 and a message naming the
 //! variable.  The libraries never read the environment; the binaries pass
-//! the values down — [`Config::install`] sets the process-wide tracer and
-//! CNF dump directory, [`Config::cache`] builds the result-cache hook.
+//! the values down — [`Config::install`] sets the process-wide tracer,
+//! [`Config::cache`] builds the result-cache hook.
 //! README's "Configuration" table documents each name.
 
 use ph_core::CacheHook;
@@ -32,10 +32,6 @@ pub struct Config {
     pub cache_dir: Option<PathBuf>,
     /// `PH_CACHE_BUDGET_BYTES`: the cache's size bound.
     pub cache_budget_bytes: u64,
-    /// `PH_DUMP_CNF`: directory that receives every SMT check query as a
-    /// numbered DIMACS file (simplification is then off; see
-    /// [`ph_sat::set_cnf_dump_dir`]).
-    pub dump_cnf: Option<PathBuf>,
     /// `PH_RESULTS_DIR`: where the `table*` binaries write their results
     /// files.
     pub results_dir: PathBuf,
@@ -52,8 +48,6 @@ pub struct Config {
     pub fuzz_synth: bool,
     /// `PH_FUZZ_CORRUPT`: `fuzz_e2e`'s mutation-testing mode.
     pub fuzz_corrupt: bool,
-    /// `PH_REPLAY_CONFLICT_BUDGET`: `cnf_replay`'s per-query conflict cap.
-    pub replay_conflict_budget: u64,
     /// `PH_OBS_MAX_OVERHEAD_PCT`: `obs_overhead`'s gate.
     pub obs_max_overhead_pct: f64,
 }
@@ -65,7 +59,6 @@ impl Default for Config {
             trace_level: Level::Info,
             cache_dir: None,
             cache_budget_bytes: ph_svc::cache::DEFAULT_BUDGET_BYTES,
-            dump_cnf: None,
             results_dir: PathBuf::from("results"),
             svc_addr: "127.0.0.1:9077".into(),
             filter: String::new(),
@@ -73,7 +66,6 @@ impl Default for Config {
             orig_timeout_secs: 10,
             fuzz_synth: true,
             fuzz_corrupt: false,
-            replay_conflict_budget: 200_000,
             obs_max_overhead_pct: 2.0,
         }
     }
@@ -81,12 +73,11 @@ impl Default for Config {
 
 impl Config {
     /// Every `PH_*` variable any binary reads, in README-table order.
-    pub const KNOWN: [&'static str; 14] = [
+    pub const KNOWN: [&'static str; 12] = [
         "PH_TRACE",
         "PH_TRACE_LEVEL",
         "PH_CACHE_DIR",
         "PH_CACHE_BUDGET_BYTES",
-        "PH_DUMP_CNF",
         "PH_RESULTS_DIR",
         "PH_SVC_ADDR",
         "PH_FILTER",
@@ -94,7 +85,6 @@ impl Config {
         "PH_ORIG_TIMEOUT_SECS",
         "PH_FUZZ_SYNTH",
         "PH_FUZZ_CORRUPT",
-        "PH_REPLAY_CONFLICT_BUDGET",
         "PH_OBS_MAX_OVERHEAD_PCT",
     ];
 
@@ -134,7 +124,6 @@ impl Config {
             cache_budget_bytes: v
                 .get("PH_CACHE_BUDGET_BYTES")?
                 .unwrap_or(d.cache_budget_bytes),
-            dump_cnf: v.get("PH_DUMP_CNF")?,
             results_dir: v.get("PH_RESULTS_DIR")?.unwrap_or(d.results_dir),
             svc_addr: v.get("PH_SVC_ADDR")?.unwrap_or(d.svc_addr),
             filter: v.get("PH_FILTER")?.unwrap_or(d.filter),
@@ -144,9 +133,6 @@ impl Config {
                 .unwrap_or(d.orig_timeout_secs),
             fuzz_synth: v.bool("PH_FUZZ_SYNTH")?.unwrap_or(d.fuzz_synth),
             fuzz_corrupt: v.bool("PH_FUZZ_CORRUPT")?.unwrap_or(d.fuzz_corrupt),
-            replay_conflict_budget: v
-                .get("PH_REPLAY_CONFLICT_BUDGET")?
-                .unwrap_or(d.replay_conflict_budget),
             obs_max_overhead_pct: v
                 .get("PH_OBS_MAX_OVERHEAD_PCT")?
                 .unwrap_or(d.obs_max_overhead_pct),
@@ -180,14 +166,10 @@ impl Config {
         tracer.with_verbosity(self.trace_level)
     }
 
-    /// Installs the process-wide settings of a synthesizing binary — the
-    /// CNF dump directory and the global tracer — and returns that tracer
-    /// (for the binary's own spans and its final flush).  Call once,
-    /// before any synthesis.
+    /// Installs the global tracer of a synthesizing binary and returns it
+    /// (for the binary's own spans and its final flush).  Call once, before
+    /// any synthesis.
     pub fn install(&self) -> Tracer {
-        if let Some(dir) = &self.dump_cnf {
-            ph_sat::set_cnf_dump_dir(dir.clone());
-        }
         let tracer = self.tracer();
         ph_obs::init_global(tracer.clone());
         tracer

@@ -7,8 +7,7 @@
 //! other code reads back (`table*` results, result-cache entries and
 //! traces), `bench_diff` is the exact quality/status gate against the
 //! committed `results/table*.json` baselines, `trace_prof` profiles a
-//! trace, `fuzz_e2e` is the differential fuzzing oracle, `cnf_replay`
-//! measures the CNF simplifier on byte-identical query streams, and
+//! trace, `fuzz_e2e` is the differential fuzzing oracle, and
 //! `obs_overhead` gates the tracing layer's cost.  Timing regressions are
 //! judged by the standalone `ledger` benchmark (`ledger compare`).
 //!

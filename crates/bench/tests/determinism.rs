@@ -17,7 +17,6 @@ const VOLATILE_KEYS: &[&str] = &[
     "verify_time_s",
     "shrink_time_s",
     "wall_s",
-    "simplify_time_ns",
     // Per-query latency histograms are wall-clock distributions (the
     // verify_conflicts histogram is deterministic and stays checked).
     "synth_query_ns",

@@ -483,11 +483,10 @@ impl<'a> IncrementalVerifier<'a> {
         let mut smt = Smt::new();
         smt.set_interrupt(Some(interrupt.clone()));
         let input = smt.var("I", l as u32);
-        // Counterexamples are read off `input` after every SAT verdict, so
-        // its bits must survive CNF simplification.  Blasting any term
-        // freezes its cached literals; forcing it here (rather than relying
-        // on `encode_impl` reaching it) makes the contract explicit.
-        smt.freeze_term(input);
+        // Counterexamples are read off `input`.  Its bits are the
+        // verifier's first SAT variables, which fixes the variable order the
+        // search (and so each counterexample) follows.
+        smt.lower(input);
         let skel = skeleton::build_verifier_terms(&mut smt, shape);
         let out = encode_impl(&mut smt, shape, &skel, input, k_impl);
         let paths = encode_spec_paths(&mut smt, red_spec, input, k_spec + 2, 1 << 16)
@@ -548,9 +547,6 @@ pub fn verify_candidate_fresh(
 ) -> Result<Verdict, SynthError> {
     let mut vsmt = Smt::new();
     vsmt.set_interrupt(Some(interrupt.clone()));
-    // This path is the differential-testing oracle for the incremental
-    // (and simplifying) engine, so it deliberately runs the plain solver.
-    vsmt.set_simplify(false);
     let input = vsmt.var("I", l as u32);
     let terms = skeleton::concrete_terms(&mut vsmt, shape, candidate);
     let out = encode_impl(&mut vsmt, shape, &terms, input, k_impl);

@@ -15,8 +15,8 @@
 //!
 //! Each branch's flag and its wall-clock deadline travel together in one
 //! [`ph_sat::Interrupt`] and are polled at the same points (every solver
-//! conflict, the simplifier, each CEGIS iteration and shrink trial), so no
-//! timer thread is spawned and a winner returns as soon as it verifies.
+//! conflict, each CEGIS iteration and shrink trial), so no timer thread is
+//! spawned and a winner returns as soon as it verifies.
 
 use crate::cegis::{synthesize_one, LoopMode};
 use crate::{OptConfig, SynthError, SynthOutput, SynthParams};

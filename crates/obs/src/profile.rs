@@ -511,12 +511,12 @@ mod tests {
             r#"{"t_ns":0,"ev":"enter","span":"cegis.run","id":1}"#,
             r#"{"t_ns":1,"ev":"enter","span":"cegis.assume","id":2,"parent":1}"#,
             r#"{"t_ns":3,"ev":"exit","span":"cegis.assume","id":2,"dur_ns":2}"#,
-            // iter 1: synth 50 (30 of it simplification), verify 40
+            // iter 1: synth 50 (30 of it SAT search), verify 40
             r#"{"t_ns":10,"ev":"enter","span":"cegis.iter","id":3,"parent":1}"#,
             r#"{"t_ns":11,"ev":"enter","span":"cegis.synth","id":4,"parent":3}"#,
             r#"{"t_ns":20,"ev":"enter","span":"smt.check","id":5,"parent":4}"#,
-            r#"{"t_ns":21,"ev":"enter","span":"sat.simplify","id":6,"parent":5}"#,
-            r#"{"t_ns":51,"ev":"exit","span":"sat.simplify","id":6,"dur_ns":30}"#,
+            r#"{"t_ns":21,"ev":"enter","span":"sat.solve","id":6,"parent":5}"#,
+            r#"{"t_ns":51,"ev":"exit","span":"sat.solve","id":6,"dur_ns":30}"#,
             r#"{"t_ns":55,"ev":"exit","span":"smt.check","id":5,"dur_ns":35}"#,
             r#"{"t_ns":61,"ev":"exit","span":"cegis.synth","id":4,"dur_ns":50}"#,
             r#"{"t_ns":62,"ev":"enter","span":"cegis.verify","id":7,"parent":3}"#,
@@ -544,7 +544,7 @@ mod tests {
         let cov = |name| p.child_coverage_pct(name).unwrap();
         assert!((cov("cegis.run") - 100.0 * 152.0 / 180.0).abs() < 1e-9);
         assert!((cov("cegis.iter") - 100.0 * 110.0 / 120.0).abs() < 1e-9);
-        assert_eq!(p.spans["sat.simplify"].total_ns, 30);
+        assert_eq!(p.spans["sat.solve"].total_ns, 30);
     }
 
     #[test]

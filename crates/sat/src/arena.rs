@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! problem clause:  data[r] = meta     size | flags
-//!                  data[r+1] = sig    32-bit subsumption signature
+//!                  data[r+1] = 0      reserved (keeps every clause >= 4 words)
 //!                  data[r+2..] = lits
 //!
 //! learnt clause:   data[r] = meta     size | flags (LEARNT set)
@@ -61,16 +61,9 @@ fn header_len(meta: u32) -> usize {
     }
 }
 
-/// 32-bit clause signature over variable indices: `sig(C) & !sig(D) != 0`
-/// proves C cannot subsume (or self-subsume into) D.
-pub(crate) fn clause_sig(lits: &[Lit]) -> u32 {
-    lits.iter().fold(0u32, |s, l| s | 1u32 << (l.var().0 % 32))
-}
-
 pub(crate) struct ClauseArena {
     data: Vec<u32>,
-    /// Words unreachable through any live clause: tombstoned clauses plus
-    /// the slack left behind by in-place strengthening.
+    /// Words unreachable through any live clause: tombstoned clauses.
     wasted: usize,
 }
 
@@ -94,9 +87,8 @@ impl ClauseArena {
         self.wasted
     }
 
-    /// Allocates a clause and returns its reference.  Problem clauses get
-    /// their subsumption signature computed here; learnt clauses get their
-    /// tier from `lbd` (≤3 core, ≤6 tier2, else local).
+    /// Allocates a clause and returns its reference.  Learnt clauses get
+    /// their tier from `lbd` (≤3 core, ≤6 tier2, else local).
     pub(crate) fn alloc(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
         debug_assert!(lits.len() <= SIZE_MASK as usize);
@@ -109,7 +101,7 @@ impl ClauseArena {
             self.data.push(0f32.to_bits());
             self.data.push(0); // touched
         } else {
-            self.data.push(clause_sig(lits));
+            self.data.push(0);
         }
         for &l in lits {
             self.data.push(l.index() as u32);
@@ -161,30 +153,9 @@ impl ClauseArena {
     }
 
     #[inline]
-    pub(crate) fn set_lit(&mut self, r: ClauseRef, k: usize, l: Lit) {
-        debug_assert!(k < self.len(r));
-        let start = self.lits_start(r);
-        self.data[start + k] = l.index() as u32;
-    }
-
-    #[inline]
     pub(crate) fn swap_lits(&mut self, r: ClauseRef, i: usize, j: usize) {
         let start = self.lits_start(r);
         self.data.swap(start + i, start + j);
-    }
-
-    /// Shrinks the clause to its first `new_len` literals in place.  The
-    /// freed tail words become waste (nothing walks the raw buffer, so they
-    /// are simply unreachable until the next GC).
-    pub(crate) fn shrink(&mut self, r: ClauseRef, new_len: usize) {
-        let old = self.len(r);
-        debug_assert!(new_len >= 1 && new_len <= old);
-        if new_len == old {
-            return;
-        }
-        let meta = self.data[r as usize];
-        self.data[r as usize] = (meta & !SIZE_MASK) | new_len as u32;
-        self.wasted += old - new_len;
     }
 
     #[inline]
@@ -236,47 +207,6 @@ impl ClauseArena {
     pub(crate) fn set_touched(&mut self, r: ClauseRef, t: u32) {
         debug_assert!(self.is_learnt(r));
         self.data[r as usize + 3] = t;
-    }
-
-    #[inline]
-    pub(crate) fn sig(&self, r: ClauseRef) -> u32 {
-        debug_assert!(!self.is_learnt(r));
-        self.data[r as usize + 1]
-    }
-
-    /// Refreshes a problem clause's signature after its literals changed.
-    pub(crate) fn recompute_sig(&mut self, r: ClauseRef) {
-        debug_assert!(!self.is_learnt(r));
-        let s = clause_sig(self.lits(r));
-        self.data[r as usize + 1] = s;
-    }
-
-    /// Removes one literal from the clause in place (order-preserving) and
-    /// books the freed word as waste.  For problem clauses the signature is
-    /// refreshed.  The caller must re-check the new length.
-    pub(crate) fn remove_lit(&mut self, r: ClauseRef, l: Lit) {
-        let len = self.len(r);
-        let start = self.lits_start(r);
-        let mut kept = 0usize;
-        for k in 0..len {
-            let w = self.data[start + k];
-            if w != l.index() as u32 {
-                self.data[start + kept] = w;
-                kept += 1;
-            }
-        }
-        debug_assert!(kept < len, "literal {l:?} not found in clause");
-        self.shrink(r, kept.max(1));
-        if kept == 0 {
-            // A clause never shrinks to zero literals through this path
-            // (callers strengthen clauses of length >= 2); keep the header
-            // well-formed regardless.
-            let meta = self.data[r as usize];
-            self.data[r as usize] = (meta & !SIZE_MASK) | 1;
-        }
-        if !self.is_learnt(r) {
-            self.recompute_sig(r);
-        }
     }
 
     /// Relocates the clause into `to` (mark-compact GC).  Returns the new
@@ -343,21 +273,20 @@ mod tests {
         assert!(a.is_learnt(c2));
         assert_eq!(a.lbd(c2), 5);
         assert_eq!(a.tier(c2), TIER_MID);
-        assert_eq!(a.sig(c1), clause_sig(&lits(&[1, -2, 3])));
         assert_eq!(a.wasted_words(), 0);
     }
 
     #[test]
-    fn delete_and_shrink_book_waste() {
+    fn delete_books_waste() {
         let mut a = ClauseArena::new();
         let c1 = a.alloc(&lits(&[1, 2, 3, 4]), false, 0);
         let c2 = a.alloc(&lits(&[1, 2, 3]), true, 7);
-        a.remove_lit(c1, lits(&[2])[0]);
-        assert_eq!(a.lits(c1), lits(&[1, 3, 4]).as_slice());
-        assert_eq!(a.wasted_words(), 1);
         a.delete(c2);
         assert!(a.is_deleted(c2));
-        assert_eq!(a.wasted_words(), 1 + HDR_LEARNT + 3);
+        assert!(!a.is_deleted(c1));
+        assert_eq!(a.wasted_words(), HDR_LEARNT + 3);
+        a.delete(c1);
+        assert_eq!(a.wasted_words(), HDR_LEARNT + 3 + HDR_PROBLEM + 4);
     }
 
     #[test]

@@ -4,9 +4,6 @@
 //! benchmarks, independent of the bit-vector layer.
 
 use crate::{Lit, Solver, Var};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// Parses DIMACS CNF text into a fresh [`Solver`].
 ///
@@ -88,51 +85,6 @@ pub fn write_dimacs(solver: &Solver) -> String {
         out.push_str("0\n");
     }
     out
-}
-
-/// The process-wide CNF dump directory (see [`set_cnf_dump_dir`]).
-static DUMP_DIR: OnceLock<PathBuf> = OnceLock::new();
-
-/// Makes every later [`dump_cnf_if_requested`] call write its query under
-/// `dir`, and turns simplification off in every solver created or
-/// reconfigured from then on, so the dumps hold the raw blasted CNF rather
-/// than an already-simplified database.  Set once per process, before any
-/// solving; returns `false` (and changes nothing) if a directory was
-/// already set.
-pub fn set_cnf_dump_dir(dir: impl Into<PathBuf>) -> bool {
-    DUMP_DIR.set(dir.into()).is_ok()
-}
-
-/// The directory set by [`set_cnf_dump_dir`], if any.
-pub(crate) fn cnf_dump_dir() -> Option<&'static Path> {
-    DUMP_DIR.get().map(PathBuf::as_path)
-}
-
-/// When a dump directory is set ([`set_cnf_dump_dir`]), writes the
-/// solver's current clause database — plus the query's assumptions, as `c`
-/// comments — to `<dir>/query-<n>.cnf` for offline replay (`cnf_replay`).
-/// A no-op otherwise.
-///
-/// `ph-smt` calls this on every `check` query.
-pub fn dump_cnf_if_requested(solver: &Solver, assumptions: &[Lit]) {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let Some(dir) = cnf_dump_dir() else {
-        return;
-    };
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let mut text = String::new();
-    if !assumptions.is_empty() {
-        text.push_str("c assumptions:");
-        for l in assumptions {
-            let v = l.var().0 as i64 + 1;
-            text.push(' ');
-            text.push_str(&(if l.is_neg() { -v } else { v }).to_string());
-        }
-        text.push('\n');
-    }
-    text.push_str(&write_dimacs(solver));
-    let _ = std::fs::create_dir_all(dir);
-    let _ = std::fs::write(dir.join(format!("query-{n:05}.cnf")), text);
 }
 
 #[cfg(test)]
@@ -244,22 +196,5 @@ mod tests {
             };
             assert_eq!(norm(&s1), norm(&s2), "round-trip changed clause set");
         }
-    }
-
-    #[test]
-    fn dump_cnf_hook_writes_numbered_queries() {
-        // The only test in this binary that sets the process-wide
-        // directory.
-        let dir = std::env::temp_dir().join(format!("ph_dump_cnf_test_{}", std::process::id()));
-        assert!(set_cnf_dump_dir(&dir));
-        let (s, _) = parse_dimacs("p cnf 2 2\n1 2 0\n-1 0\n").unwrap();
-        dump_cnf_if_requested(&s, &[]);
-        dump_cnf_if_requested(&s, &[Lit::neg(Var(1))]);
-        let q0 = std::fs::read_to_string(dir.join("query-00000.cnf")).unwrap();
-        let q1 = std::fs::read_to_string(dir.join("query-00001.cnf")).unwrap();
-        let (mut reparsed, _) = parse_dimacs(&q0).unwrap();
-        assert_eq!(reparsed.solve(), Some(true));
-        assert!(q1.starts_with("c assumptions: -2\n"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -13,13 +13,11 @@
 //! * VSIDS branching with phase saving,
 //! * Luby-sequence restarts,
 //! * LBD-based learned-clause database reduction,
+//! * one flat clause arena, compacted by a mark-compact GC once the clauses
+//!   that reduction deleted waste enough of it,
 //! * incremental solving under assumptions (clauses may be added between
 //!   `solve` calls, which is what the CEGIS synthesis phase needs as
 //!   counterexamples accumulate),
-//! * SatELite-style clause-database simplification — bounded variable
-//!   elimination, (self-)subsumption and failed-literal probing — run as
-//!   preprocessing on `solve` and as inprocessing between restarts, with
-//!   [`Solver::freeze`] protecting externally visible variables,
 //! * DIMACS CNF input/output for standalone testing.
 //!
 //! ```
@@ -37,9 +35,8 @@
 mod arena;
 mod dimacs;
 mod lit;
-mod simplify;
 mod solver;
 
-pub use dimacs::{dump_cnf_if_requested, parse_dimacs, set_cnf_dump_dir, write_dimacs};
+pub use dimacs::{parse_dimacs, write_dimacs};
 pub use lit::{Lit, Var};
 pub use solver::{Interrupt, SolveResult, Solver, SolverStats};

@@ -49,7 +49,6 @@ impl Blaster {
         }
         let l = Lit::pos(sat.new_var());
         sat.add_clause([l]);
-        sat.freeze(l.var());
         self.true_lit = Some(l);
         l
     }
@@ -92,14 +91,6 @@ impl Blaster {
             if pending.is_empty() {
                 stack.pop();
                 let lits = self.blast_node(pool, cur, sat);
-                // Cached outputs are the blaster's external interface: hash
-                // consing means any future assertion may reference these
-                // literals in new clauses, and models are read through them.
-                // Freeze them so CNF simplification never eliminates one;
-                // un-cached Tseitin intermediates remain fair game.
-                for l in &lits {
-                    sat.freeze(l.var());
-                }
                 self.cache.insert(cur, lits);
             } else {
                 stack.extend(pending);

@@ -140,45 +140,12 @@ impl Smt {
         self.sat.set_interrupt(interrupt);
     }
 
-    /// Enables or disables CNF simplification (preprocessing and
-    /// inprocessing) in the underlying SAT solver.  On by default; while a
-    /// CNF dump directory is set ([`ph_sat::set_cnf_dump_dir`]) it stays
-    /// off, and that wins over `set_simplify(true)`.
-    ///
-    /// The blaster freezes every cached term literal, so simplification is
-    /// always safe to combine with incremental use of this API.
-    pub fn set_simplify(&mut self, on: bool) {
-        self.sat.set_simplify(on);
-    }
-
-    /// Whether CNF simplification is currently enabled.
-    pub fn simplify_enabled(&self) -> bool {
-        self.sat.simplify_enabled()
-    }
-
-    /// Hint that `t`'s literals are externally visible: blasts the term now
-    /// (if not already lowered) and freezes its bits against variable
-    /// elimination.
-    ///
-    /// Every cached blast output is frozen automatically, so this is only
-    /// needed to *force* lowering of a term that will be referenced later —
-    /// e.g. a variable whose model will be read before any assertion
-    /// mentions it.
-    pub fn freeze_term(&mut self, t: Term) {
-        // Blasting caches the literal vector, and the cache-insert path
-        // freezes every variable in it.
+    /// Lowers `t` to CNF now, if it is not lowered yet, so its bits take
+    /// the next SAT variables.  Lowering is otherwise lazy (on the first
+    /// assertion or check that mentions the term); a caller that wants a
+    /// term's bits numbered first calls this before building the rest.
+    pub fn lower(&mut self, t: Term) {
         self.blaster.blast(&self.terms, t, &mut self.sat);
-    }
-
-    /// Forces an immediate CNF simplification pass, bypassing the solver's
-    /// cost-based scheduling.  Production code never needs this — `check`
-    /// triggers passes automatically once search proves nontrivial — but
-    /// differential tests use it to exercise the engine on formulas too easy
-    /// to trip the scheduler.  No-op when simplification is disabled.
-    pub fn simplify_now(&mut self) {
-        if self.sat.simplify_enabled() {
-            self.sat.simplify();
-        }
     }
 
     // ---- term constructors (delegated to the pool) --------------------
@@ -398,9 +365,6 @@ impl Smt {
     /// permanently disables the selector with a unit clause.
     pub fn push(&mut self) {
         let sel = ph_sat::Lit::pos(self.sat.new_var());
-        // The selector is assumed by every future check and negated by
-        // `pop`, so it must survive variable elimination.
-        self.sat.freeze(sel.var());
         self.scopes.push(sel);
     }
 
@@ -447,7 +411,6 @@ impl Smt {
         };
         // Open scopes activate their guarded clauses via their selectors.
         lits.extend(self.scopes.iter().copied());
-        ph_sat::dump_cnf_if_requested(&self.sat, &lits);
         let solved = {
             let _span = tracer.span("sat.solve");
             self.sat.solve_with_assumptions(&lits)
