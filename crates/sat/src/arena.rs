@@ -1,23 +1,24 @@
 //! The flat clause arena.
 //!
-//! Every clause lives in one contiguous `Vec<u32>`; a [`ClauseRef`] is a
-//! word offset into it.  This replaces the old per-clause `Vec<Lit>` heap
-//! allocation: the propagate loop walks watch lists that dereference
-//! straight into one flat array, so clause headers and literals share cache
-//! lines instead of chasing a pointer per clause.
+//! Every clause of three or more literals, and every learnt clause, lives
+//! in one contiguous `Vec<u32>`; a [`ClauseRef`] is a word offset into it.
+//! The propagate loop walks watch lists that dereference straight into
+//! this one flat array, so clause headers and literals share cache lines
+//! instead of chasing a pointer per clause.  Binary problem clauses are not
+//! stored here at all: the solver keeps each one as two watches whose
+//! blocker is the clause's other literal.
 //!
 //! Layout, addressed by `ClauseRef = r`:
 //!
 //! ```text
 //! problem clause:  data[r] = meta     size | flags
-//!                  data[r+1] = 0      reserved (keeps every clause >= 4 words)
-//!                  data[r+2..] = lits
+//!                  data[r+1..] = lits (at least 3)
 //!
 //! learnt clause:   data[r] = meta     size | flags (LEARNT set)
 //!                  data[r+1] = lbd | tier (top 2 bits)
 //!                  data[r+2] = activity (f32 bits)
 //!                  data[r+3] = touched (conflict timestamp)
-//!                  data[r+4..] = lits
+//!                  data[r+4..] = lits (at least 2)
 //! ```
 //!
 //! Deletion sets a tombstone bit and books the clause's words as waste;
@@ -29,8 +30,12 @@
 
 use crate::lit::Lit;
 
-/// Reference to a clause: its word offset in the arena.
+/// Reference to a clause: its word offset in the arena.  Always below
+/// [`CREF_LIMIT`].
 pub(crate) type ClauseRef = u32;
+/// Clause references stay below this, which leaves the top bit of a
+/// reference word free for the solver's binary-reason tag.
+pub(crate) const CREF_LIMIT: u32 = 1 << 31;
 pub(crate) const REASON_NONE: ClauseRef = u32::MAX;
 
 const SIZE_BITS: u32 = 28;
@@ -49,7 +54,7 @@ pub(crate) const TIER_LOCAL: u32 = 2;
 const LBD_BITS: u32 = 30;
 const LBD_MASK: u32 = (1 << LBD_BITS) - 1;
 
-const HDR_PROBLEM: usize = 2;
+const HDR_PROBLEM: usize = 1;
 const HDR_LEARNT: usize = 4;
 
 #[inline]
@@ -88,10 +93,13 @@ impl ClauseArena {
     }
 
     /// Allocates a clause and returns its reference.  Learnt clauses get
-    /// their tier from `lbd` (≤3 core, ≤6 tier2, else local).
+    /// their tier from `lbd` (≤3 core, ≤6 tier2, else local).  Problem
+    /// clauses have at least 3 literals, learnt ones at least 2, so every
+    /// clause spans at least 4 words.
     pub(crate) fn alloc(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> ClauseRef {
-        debug_assert!(lits.len() >= 2);
+        debug_assert!(lits.len() >= if learnt { 2 } else { 3 });
         debug_assert!(lits.len() <= SIZE_MASK as usize);
+        assert!(self.data.len() < CREF_LIMIT as usize, "clause arena full");
         let r = self.data.len() as ClauseRef;
         let meta = lits.len() as u32 | if learnt { LEARNT_BIT } else { 0 };
         self.data.push(meta);
@@ -100,8 +108,6 @@ impl ClauseArena {
             self.data.push((lbd & LBD_MASK) | (tier << LBD_BITS));
             self.data.push(0f32.to_bits());
             self.data.push(0); // touched
-        } else {
-            self.data.push(0);
         }
         for &l in lits {
             self.data.push(l.index() as u32);
@@ -224,8 +230,9 @@ impl ClauseArena {
         let total = header_len(meta) + (meta & SIZE_MASK) as usize;
         let nr = to.len() as ClauseRef;
         to.extend_from_slice(&self.data[r as usize..r as usize + total]);
-        // Every live clause spans at least 4 words (2-word problem header +
-        // 2 literals), so the forwarding pair always fits.
+        // Every live clause spans at least 4 words (1-word problem header +
+        // 3 literals, or 4-word learnt header + 2), so the forwarding pair
+        // always fits.
         self.data[r as usize] = FORWARDED;
         self.data[r as usize + 1] = nr;
         Some(nr)
@@ -274,6 +281,9 @@ mod tests {
         assert_eq!(a.lbd(c2), 5);
         assert_eq!(a.tier(c2), TIER_MID);
         assert_eq!(a.wasted_words(), 0);
+        // A 1-word problem header, a 4-word learnt header.
+        assert_eq!((c1, c2), (0, 4));
+        assert_eq!(a.len_words(), (1 + 3) + (4 + 2));
     }
 
     #[test]
@@ -292,9 +302,9 @@ mod tests {
     #[test]
     fn reloc_forwards_and_drops_tombstones() {
         let mut a = ClauseArena::new();
-        let c1 = a.alloc(&lits(&[1, 2]), false, 0);
+        let c1 = a.alloc(&lits(&[1, 2, 3]), false, 0);
         let c2 = a.alloc(&lits(&[3, 4, 5]), true, 4);
-        let c3 = a.alloc(&lits(&[1, -5]), false, 0);
+        let c3 = a.alloc(&lits(&[1, -5, 6]), false, 0);
         a.delete(c2);
         let mut to = Vec::new();
         let n1 = a.reloc(c1, &mut to).unwrap();
@@ -303,13 +313,15 @@ mod tests {
         // A second relocation of the same clause hits the forwarding header.
         assert_eq!(a.reloc(c1, &mut to), Some(n1));
         assert_eq!(a.reloc(c3, &mut to), Some(n3));
-        let saved1 = lits(&[1, 2]);
-        let saved3 = lits(&[1, -5]);
+        let saved1 = lits(&[1, 2, 3]);
+        let saved3 = lits(&[1, -5, 6]);
         a.replace(to);
         assert_eq!(a.lits(n1), saved1.as_slice());
         assert_eq!(a.lits(n3), saved3.as_slice());
         assert_eq!(a.wasted_words(), 0);
-        assert_eq!(a.len_words(), (2 + 2) + (2 + 2));
+        // Two 1-word problem headers with 3 literals each; the tombstoned
+        // learnt clause is gone.
+        assert_eq!(a.len_words(), (1 + 3) + (1 + 3));
     }
 
     #[test]

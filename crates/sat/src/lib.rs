@@ -8,13 +8,17 @@
 //! propositional SAT by bit-blasting (done by the sibling `ph-smt` crate).
 //! This crate supplies the propositional engine:
 //!
-//! * two-watched-literal unit propagation,
-//! * first-UIP conflict analysis with recursive clause minimization,
+//! * two-watched-literal unit propagation, with binary problem clauses
+//!   held only in the watch lists,
+//! * first-UIP conflict analysis with basic (non-recursive) clause
+//!   minimization: a literal goes when its reason's other literals are all
+//!   in the learnt clause or fixed at level 0,
 //! * VSIDS branching with phase saving,
 //! * Luby-sequence restarts,
 //! * LBD-based learned-clause database reduction,
-//! * one flat clause arena, compacted by a mark-compact GC once the clauses
-//!   that reduction deleted waste enough of it,
+//! * one flat clause arena for the longer and the learnt clauses,
+//!   compacted by a mark-compact GC once the clauses that reduction deleted
+//!   waste enough of it,
 //! * incremental solving under assumptions (clauses may be added between
 //!   `solve` calls, which is what the CEGIS synthesis phase needs as
 //!   counterexamples accumulate),

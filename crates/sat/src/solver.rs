@@ -9,7 +9,11 @@
 //! propagate loop dereferences watch lists straight into one contiguous
 //! buffer instead of chasing a heap pointer per clause, deletion tombstones
 //! clauses in place, and a mark-compact GC reclaims the waste once it
-//! crosses a configurable fraction of the arena.
+//! crosses a configurable fraction of the arena.  Binary problem clauses,
+//! about half of what the bit-blaster emits, skip the arena: each is two
+//! watches whose blocker is the other literal, so propagating one reads no
+//! arena word.  Problem clauses are never deleted and each is reachable
+//! through its watches, so the solver keeps no list of them.
 //!
 //! The solver is incremental: clauses may be added between [`Solver::solve`]
 //! calls and solving may be done under a set of assumption literals, which is
@@ -21,33 +25,44 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::arena::{ClauseRef, REASON_NONE};
+use crate::arena::{ClauseRef, CREF_LIMIT, REASON_NONE};
 
-/// Truth value of a variable: unassigned, true or false.
+/// Truth value of a literal: unassigned, true or false.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[repr(u8)]
 enum LBool {
     Undef,
     True,
     False,
 }
 
-impl LBool {
-    #[inline]
-    fn from_bool(b: bool) -> LBool {
-        if b {
-            LBool::True
-        } else {
-            LBool::False
-        }
-    }
-}
-
 #[derive(Clone, Copy)]
 struct Watch {
+    /// The watched clause, or [`BINARY_WATCH`] for a binary problem clause.
     cref: ClauseRef,
     /// A literal of the clause other than the watched one; if it is already
     /// true the clause is satisfied and the watch list walk can skip it.
+    /// For a binary problem clause it is always the other literal.
     blocker: Lit,
+}
+
+/// `Watch::cref` of a binary problem clause, which has no arena entry.
+const BINARY_WATCH: ClauseRef = u32::MAX;
+
+/// Tag bit of a `reason` word naming a binary problem clause; the other
+/// bits hold the index of the clause's other (false) literal.  Arena
+/// references stay below [`CREF_LIMIT`], so the tag never collides.
+const REASON_BINARY: u32 = CREF_LIMIT;
+
+/// A clause in a conflict or a reason.
+#[derive(Clone, Copy)]
+enum Confl {
+    /// An arena clause.
+    Arena(ClauseRef),
+    /// A binary problem clause, with its literals in the order an arena
+    /// copy would hold them after propagation: the implied (or, in a
+    /// conflict, the blocking) literal first, then the false one.
+    Binary(Lit, Lit),
 }
 
 /// Outcome of a `solve` call.
@@ -117,6 +132,8 @@ ph_obs::stats! {
         /// Mark-compact collections of the clause arena.
         arena_gcs: u64 = "arena_gcs",
         /// Current clause-arena size in bytes (a level, not a counter).
+        /// Binary problem clauses are not in it: they live only in the
+        /// watch lists.
         arena_bytes: u64 = "arena_bytes",
     }
 }
@@ -141,14 +158,19 @@ const TIER2_UNTOUCHED_LIMIT: u64 = 30_000;
 pub struct Solver {
     /// Flat clause storage; all `ClauseRef`s point into it.
     arena: ClauseArena,
-    /// Problem-clause references.
-    clauses: Vec<ClauseRef>,
+    /// Problem clauses attached (binary ones included).
+    num_problem: usize,
     /// Learned-clause references (tombstoned refs pruned at reduction).
     learnts: Vec<ClauseRef>,
+    /// Indexed by literal: the clauses to visit when that literal becomes
+    /// true (they contain its negation).
     watches: Vec<Vec<Watch>>,
-    assigns: Vec<LBool>,
+    /// Truth value per literal index, kept for both polarities.
+    vals: Vec<LBool>,
     level: Vec<u32>,
-    reason: Vec<ClauseRef>,
+    /// Per variable: `REASON_NONE`, an arena `ClauseRef`, or
+    /// `REASON_BINARY` plus the other literal of a binary problem clause.
+    reason: Vec<u32>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
@@ -157,7 +179,7 @@ pub struct Solver {
     var_inc: f64,
     /// Binary max-heap over variables ordered by activity.
     heap: Vec<Var>,
-    heap_pos: Vec<usize>,
+    heap_pos: Vec<u32>,
     /// Saved phases for phase-saving.
     phase: Vec<bool>,
     /// Clause activity bump.
@@ -182,7 +204,7 @@ pub struct Solver {
     interrupt: Option<Interrupt>,
 }
 
-const HEAP_NONE: usize = usize::MAX;
+const HEAP_NONE: u32 = u32::MAX;
 
 impl Default for Solver {
     fn default() -> Self {
@@ -195,10 +217,10 @@ impl Solver {
     pub fn new() -> Solver {
         Solver {
             arena: ClauseArena::new(),
-            clauses: Vec::new(),
+            num_problem: 0,
             learnts: Vec::new(),
             watches: Vec::new(),
-            assigns: Vec::new(),
+            vals: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
             trail: Vec::new(),
@@ -238,12 +260,12 @@ impl Solver {
 
     /// Number of variables created so far.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.level.len()
     }
 
-    /// Number of original (problem) clauses added.
+    /// Number of original (problem) clauses of two or more literals added.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.num_problem
     }
 
     /// Search statistics accumulated so far.
@@ -283,8 +305,9 @@ impl Solver {
 
     /// Creates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var(self.assigns.len() as u32);
-        self.assigns.push(LBool::Undef);
+        let v = Var(self.level.len() as u32);
+        self.vals.push(LBool::Undef);
+        self.vals.push(LBool::Undef);
         self.level.push(0);
         self.reason.push(REASON_NONE);
         self.activity.push(0.0);
@@ -300,25 +323,21 @@ impl Solver {
 
     /// The model value of `v` after a satisfiable solve, or its fixed value.
     pub fn value(&self, v: Var) -> Option<bool> {
-        match self.assigns[v.index()] {
+        self.lit_value(Lit::pos(v))
+    }
+
+    /// The model value of a literal.
+    pub fn lit_value(&self, l: Lit) -> Option<bool> {
+        match self.lit_lbool(l) {
             LBool::Undef => None,
             LBool::True => Some(true),
             LBool::False => Some(false),
         }
     }
 
-    /// The model value of a literal.
-    pub fn lit_value(&self, l: Lit) -> Option<bool> {
-        self.value(l.var()).map(|b| l.apply(b))
-    }
-
     #[inline]
     fn lit_lbool(&self, l: Lit) -> LBool {
-        match self.assigns[l.var().index()] {
-            LBool::Undef => LBool::Undef,
-            LBool::True => LBool::from_bool(l.apply(true)),
-            LBool::False => LBool::from_bool(l.apply(false)),
-        }
+        self.vals[l.index()]
     }
 
     /// Adds a clause; returns `false` when the formula became trivially
@@ -361,16 +380,33 @@ impl Solver {
                 }
                 self.ok
             }
+            2 => {
+                self.num_problem += 1;
+                self.watch_clause(&simplified, BINARY_WATCH);
+                true
+            }
             _ => {
-                self.attach_clause(&simplified, false, 0);
+                self.num_problem += 1;
+                let cref = self.arena.alloc(&simplified, false, 0);
+                self.watch_clause(&simplified, cref);
                 true
             }
         }
     }
 
-    fn attach_clause(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> ClauseRef {
-        debug_assert!(lits.len() >= 2);
-        let cref = self.arena.alloc(lits, learnt, lbd);
+    /// Stores a learnt clause (asserting literal first) and watches it.
+    fn attach_learnt(&mut self, lits: &[Lit], lbd: u32) -> ClauseRef {
+        let cref = self.arena.alloc(lits, true, lbd);
+        self.watch_clause(lits, cref);
+        self.stats.learnts += 1;
+        self.learnts.push(cref);
+        self.arena
+            .set_touched(cref, self.stats.conflicts.min(u32::MAX as u64) as u32);
+        cref
+    }
+
+    /// Watches the clause's first two literals, each blocked by the other.
+    fn watch_clause(&mut self, lits: &[Lit], cref: ClauseRef) {
         self.watches[(!lits[0]).index()].push(Watch {
             cref,
             blocker: lits[1],
@@ -379,15 +415,6 @@ impl Solver {
             cref,
             blocker: lits[0],
         });
-        if learnt {
-            self.stats.learnts += 1;
-            self.learnts.push(cref);
-            self.arena
-                .set_touched(cref, self.stats.conflicts.min(u32::MAX as u64) as u32);
-        } else {
-            self.clauses.push(cref);
-        }
-        cref
     }
 
     /// Tombstones a learnt clause; the arena reclaims the words at the
@@ -403,33 +430,65 @@ impl Solver {
         self.trail_lim.len() as u32
     }
 
-    fn enqueue(&mut self, l: Lit, reason: ClauseRef) {
+    /// Assigns `l` true; `reason` is a `reason` word (see the field).
+    fn enqueue(&mut self, l: Lit, reason: u32) {
         debug_assert_eq!(self.lit_lbool(l), LBool::Undef);
+        self.vals[l.index()] = LBool::True;
+        self.vals[(!l).index()] = LBool::False;
         let v = l.var().index();
-        self.assigns[v] = LBool::from_bool(!l.is_neg());
         self.level[v] = self.decision_level();
         self.reason[v] = reason;
         self.trail.push(l);
     }
 
+    /// The reason clause of the true literal `l`, or `None` for a decision,
+    /// an assumption or a level-0 unit.
+    #[inline]
+    fn reason(&self, l: Lit) -> Option<Confl> {
+        let r = self.reason[l.var().index()];
+        if r == REASON_NONE {
+            None
+        } else if r & REASON_BINARY != 0 {
+            Some(Confl::Binary(
+                l,
+                Lit::from_index((r & !REASON_BINARY) as usize),
+            ))
+        } else {
+            Some(Confl::Arena(r))
+        }
+    }
+
     /// Unit propagation; returns the conflicting clause if any.
-    fn propagate(&mut self) -> Option<ClauseRef> {
+    fn propagate(&mut self) -> Option<Confl> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
-            let widx = p.index();
             // The false literal being watched is ¬p == clause lit.
             let false_lit = !p;
+            // Walk the list out of the table: nothing below pushes onto it
+            // (a new watch goes to a literal that is not false).
+            let mut ws = std::mem::take(&mut self.watches[p.index()]);
+            let mut confl = None;
             let mut i = 0;
-            'watches: while i < self.watches[widx].len() {
-                let Watch { cref, blocker } = self.watches[widx][i];
-                if self.lit_lbool(blocker) == LBool::True {
+            'watches: while i < ws.len() {
+                let Watch { cref, blocker } = ws[i];
+                let blocker_val = self.lit_lbool(blocker);
+                if blocker_val == LBool::True {
+                    i += 1;
+                    continue;
+                }
+                if cref == BINARY_WATCH {
+                    if blocker_val == LBool::False {
+                        confl = Some(Confl::Binary(blocker, false_lit));
+                        break;
+                    }
+                    self.enqueue(blocker, REASON_BINARY | false_lit.index() as u32);
                     i += 1;
                     continue;
                 }
                 if self.arena.is_deleted(cref) {
-                    self.watches[widx].swap_remove(i);
+                    ws.swap_remove(i);
                     continue;
                 }
                 if self.arena.lit_at(cref, 0) == false_lit {
@@ -438,7 +497,7 @@ impl Solver {
                 debug_assert_eq!(self.arena.lit_at(cref, 1), false_lit);
                 let first = self.arena.lit_at(cref, 0);
                 if first != blocker && self.lit_lbool(first) == LBool::True {
-                    self.watches[widx][i].blocker = first;
+                    ws[i].blocker = first;
                     i += 1;
                     continue;
                 }
@@ -448,7 +507,7 @@ impl Solver {
                     let lk = self.arena.lit_at(cref, k);
                     if self.lit_lbool(lk) != LBool::False {
                         self.arena.swap_lits(cref, 1, k);
-                        self.watches[widx].swap_remove(i);
+                        ws.swap_remove(i);
                         self.watches[(!lk).index()].push(Watch {
                             cref,
                             blocker: first,
@@ -457,13 +516,18 @@ impl Solver {
                     }
                 }
                 // Clause is unit or conflicting.
-                self.watches[widx][i].blocker = first;
+                ws[i].blocker = first;
                 if self.lit_lbool(first) == LBool::False {
-                    self.qhead = self.trail.len();
-                    return Some(cref);
+                    confl = Some(Confl::Arena(cref));
+                    break;
                 }
                 self.enqueue(first, cref);
                 i += 1;
+            }
+            self.watches[p.index()] = ws;
+            if confl.is_some() {
+                self.qhead = self.trail.len();
+                return confl;
             }
         }
         None
@@ -471,7 +535,7 @@ impl Solver {
 
     /// First-UIP conflict analysis.  Returns the learnt clause (asserting
     /// literal first) and the backjump level.
-    fn analyze(&mut self, confl: ClauseRef) -> (Vec<Lit>, u32) {
+    fn analyze(&mut self, confl: Confl) -> (Vec<Lit>, u32) {
         let mut learnt: Vec<Lit> = vec![Lit::pos(Var(0))]; // placeholder slot 0
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
@@ -479,20 +543,21 @@ impl Solver {
         let mut idx = self.trail.len();
 
         loop {
-            self.bump_clause(confl);
+            // A reason's first literal is the one it implied: skip it.
             let start = usize::from(p.is_some());
-            let clen = self.arena.len(confl);
-            for k in start..clen {
-                let q = self.arena.lit_at(confl, k);
-                let v = q.var();
-                if !self.seen[v.index()] && self.level[v.index()] > 0 {
-                    self.seen[v.index()] = true;
-                    self.bump_var(v);
-                    if self.level[v.index()] >= self.decision_level() {
-                        counter += 1;
-                    } else {
-                        learnt.push(q);
+            match confl {
+                Confl::Arena(c) => {
+                    self.bump_clause(c);
+                    for k in start..self.arena.len(c) {
+                        let q = self.arena.lit_at(c, k);
+                        self.analyze_lit(q, &mut learnt, &mut counter);
                     }
+                }
+                Confl::Binary(a, b) => {
+                    if start == 0 {
+                        self.analyze_lit(a, &mut learnt, &mut counter);
+                    }
+                    self.analyze_lit(b, &mut learnt, &mut counter);
                 }
             }
             // Find the next literal on the trail to resolve on.
@@ -509,8 +574,7 @@ impl Solver {
                 p = Some(pl);
                 break;
             }
-            confl = self.reason[pl.var().index()];
-            debug_assert_ne!(confl, REASON_NONE);
+            confl = self.reason(pl).expect("implied literal without a reason");
             p = Some(pl);
         }
         learnt[0] = !p.unwrap();
@@ -547,22 +611,38 @@ impl Solver {
         (minimized, bt)
     }
 
-    /// Basic (non-recursive) redundancy check: a literal is redundant when
-    /// its reason clause's literals are all already in the learnt clause
-    /// (i.e. marked seen) or at level 0.
-    fn literal_redundant(&self, l: Lit) -> bool {
-        let r = self.reason[l.var().index()];
-        if r == REASON_NONE {
-            return false;
-        }
-        for k in 1..self.arena.len(r) {
-            let q = self.arena.lit_at(r, k);
-            let vi = q.var().index();
-            if !self.seen[vi] && self.level[vi] > 0 {
-                return false;
+    /// Marks one false literal of a conflict or reason clause: a literal of
+    /// the conflict level is counted for resolution, an earlier one goes
+    /// into the learnt clause.
+    #[inline]
+    fn analyze_lit(&mut self, q: Lit, learnt: &mut Vec<Lit>, counter: &mut usize) {
+        let v = q.var();
+        if !self.seen[v.index()] && self.level[v.index()] > 0 {
+            self.seen[v.index()] = true;
+            self.bump_var(v);
+            if self.level[v.index()] >= self.decision_level() {
+                *counter += 1;
+            } else {
+                learnt.push(q);
             }
         }
-        true
+    }
+
+    /// Basic (non-recursive) redundancy check: the false literal `l` is
+    /// redundant when its reason clause's other literals are all already in
+    /// the learnt clause (i.e. marked seen) or at level 0.
+    fn literal_redundant(&self, l: Lit) -> bool {
+        let covered = |q: Lit| {
+            let vi = q.var().index();
+            self.seen[vi] || self.level[vi] == 0
+        };
+        match self.reason(!l) {
+            None => false,
+            Some(Confl::Binary(_, q)) => covered(q),
+            Some(Confl::Arena(r)) => {
+                (1..self.arena.len(r)).all(|k| covered(self.arena.lit_at(r, k)))
+            }
+        }
     }
 
     /// LBD of a literal slice under the current assignment, via level
@@ -604,7 +684,8 @@ impl Solver {
         for i in (bound..self.trail.len()).rev() {
             let l = self.trail[i];
             let v = l.var();
-            self.assigns[v.index()] = LBool::Undef;
+            self.vals[l.index()] = LBool::Undef;
+            self.vals[(!l).index()] = LBool::Undef;
             self.phase[v.index()] = !l.is_neg();
             self.reason[v.index()] = REASON_NONE;
             if self.heap_pos[v.index()] == HEAP_NONE {
@@ -627,7 +708,7 @@ impl Solver {
             self.var_inc *= 1e-100;
         }
         if self.heap_pos[v.index()] != HEAP_NONE {
-            self.heap_up(self.heap_pos[v.index()]);
+            self.heap_up(self.heap_pos[v.index()] as usize);
         }
     }
 
@@ -667,7 +748,7 @@ impl Solver {
     }
 
     fn heap_insert(&mut self, v: Var) {
-        self.heap_pos[v.index()] = self.heap.len();
+        self.heap_pos[v.index()] = self.heap.len() as u32;
         self.heap.push(v);
         self.heap_up(self.heap.len() - 1);
     }
@@ -708,8 +789,8 @@ impl Solver {
 
     fn heap_swap(&mut self, i: usize, j: usize) {
         self.heap.swap(i, j);
-        self.heap_pos[self.heap[i].index()] = i;
-        self.heap_pos[self.heap[j].index()] = j;
+        self.heap_pos[self.heap[i].index()] = i as u32;
+        self.heap_pos[self.heap[j].index()] = j as u32;
     }
 
     fn heap_pop(&mut self) -> Option<Var> {
@@ -729,7 +810,7 @@ impl Solver {
 
     fn pick_branch_var(&mut self) -> Option<Var> {
         while let Some(v) = self.heap_pop() {
-            if self.assigns[v.index()] == LBool::Undef {
+            if self.lit_lbool(Lit::pos(v)) == LBool::Undef {
                 return Some(v);
             }
         }
@@ -819,8 +900,10 @@ impl Solver {
     /// each one live.  Watches are soft (the propagate loop drops stale
     /// entries lazily) and may legitimately point at tombstoned clauses;
     /// they are swept second, dropping the dead and forwarding the live.
-    /// The clause ref lists come last and just filter-map through the
-    /// forwarding headers.
+    /// Every problem clause is watched, so this sweep relocates all of
+    /// them.  The learnt list comes last and just filter-maps through the
+    /// forwarding headers.  Binary problem clauses, in reasons and watches
+    /// alike, name no arena words and are left as they are.
     fn arena_gc(&mut self) {
         let live = self.arena.len_words() - self.arena.wasted_words();
         let mut to: Vec<u32> = Vec::with_capacity(live);
@@ -828,30 +911,31 @@ impl Solver {
         for i in 0..self.trail.len() {
             let v = self.trail[i].var().index();
             let r = self.reason[v];
-            if r != REASON_NONE {
+            if r != REASON_NONE && r & REASON_BINARY == 0 {
                 self.reason[v] = arena
                     .reloc(r, &mut to)
                     .expect("reason clause tombstoned while locked");
             }
         }
         for wl in self.watches.iter_mut() {
-            wl.retain_mut(|w| match arena.reloc(w.cref, &mut to) {
-                Some(nr) => {
-                    w.cref = nr;
-                    true
+            wl.retain_mut(|w| {
+                if w.cref == BINARY_WATCH {
+                    return true;
                 }
-                None => false,
+                match arena.reloc(w.cref, &mut to) {
+                    Some(nr) => {
+                        w.cref = nr;
+                        true
+                    }
+                    None => false,
+                }
             });
         }
-        for list in [&mut self.clauses, &mut self.learnts] {
-            let mut kept = Vec::with_capacity(list.len());
-            for &c in list.iter() {
-                if let Some(nr) = arena.reloc(c, &mut to) {
-                    kept.push(nr);
-                }
-            }
-            *list = kept;
-        }
+        self.learnts = self
+            .learnts
+            .iter()
+            .filter_map(|&c| arena.reloc(c, &mut to))
+            .collect();
         self.arena.replace(to);
         self.stats.arena_gcs += 1;
     }
@@ -908,7 +992,7 @@ impl Solver {
                 } else {
                     let lbd = self.compute_lbd(&learnt);
                     let first = learnt[0];
-                    let cref = self.attach_clause(&learnt, true, lbd);
+                    let cref = self.attach_learnt(&learnt, lbd);
                     self.enqueue(first, cref);
                     self.learnt_since_reduce += 1;
                 }
@@ -977,13 +1061,24 @@ impl Solver {
         }
     }
 
-    /// Returns all clauses (for DIMACS export); level-0 units are included.
+    /// Returns the problem clauses, each once, and the level-0 units (for
+    /// DIMACS export); learnt clauses are left out.  Every problem clause
+    /// is in the watch lists of its first two literals, so a walk over the
+    /// lists that keeps only the first literal's copy finds each one once.
     pub(crate) fn export_clauses(&self) -> Vec<Vec<Lit>> {
-        let mut out: Vec<Vec<Lit>> = self
-            .clauses
-            .iter()
-            .map(|&c| self.arena.lits(c).to_vec())
-            .collect();
+        let mut out: Vec<Vec<Lit>> = Vec::with_capacity(self.num_problem);
+        for (widx, wl) in self.watches.iter().enumerate() {
+            let watched = !Lit::from_index(widx);
+            for w in wl {
+                if w.cref == BINARY_WATCH {
+                    if watched < w.blocker {
+                        out.push(vec![watched, w.blocker]);
+                    }
+                } else if !self.arena.is_learnt(w.cref) && self.arena.lit_at(w.cref, 0) == watched {
+                    out.push(self.arena.lits(w.cref).to_vec());
+                }
+            }
+        }
         // Level-0 units.
         let bound = self.trail_lim.first().copied().unwrap_or(self.trail.len());
         for &l in &self.trail[..bound] {
@@ -1313,6 +1408,100 @@ mod tests {
             };
             assert_eq!(got, expected);
         }
+    }
+
+    /// Forced collections while binary problem clauses are reasons on the
+    /// trail: they name no arena words, so the GC must leave them (and
+    /// their watches) as they are.  The formula is planted 3-SAT near the
+    /// threshold over `n` variables, each with an alias tied to it by two
+    /// binary clauses, so nearly every implication runs through a binary
+    /// reason.  An incremental session under assumptions collects after
+    /// every query and mid-search after every learnt-database reduction;
+    /// each verdict is checked against a fresh solver given the assumptions
+    /// as units, and each model against the clauses after the collection.
+    #[test]
+    fn forced_gc_with_binary_reasons_keeps_verdicts() {
+        let mut rng = ph_bits::Rng::seed_from_u64(0xb1_9a2c);
+        let (n, rounds) = (120usize, 300);
+        let nv = 2 * n;
+        // Variable `n + i` is the alias of variable `i`.
+        let hidden: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.5)).collect();
+        let planted = |rng: &mut ph_bits::Rng, len: usize| loop {
+            let c: Vec<(usize, bool)> = (0..len)
+                .map(|_| (rng.gen_range(0..nv), rng.gen_bool(0.5)))
+                .collect();
+            if c.iter().any(|&(v, neg)| hidden[v % n] != neg) {
+                return c;
+            }
+        };
+        let mut clauses: Vec<Vec<(usize, bool)>> = Vec::new();
+        for i in 0..n {
+            clauses.push(vec![(i, false), (n + i, true)]);
+            clauses.push(vec![(i, true), (n + i, false)]);
+        }
+        for _ in 0..500 {
+            clauses.push(planted(&mut rng, 3));
+        }
+        let mut inc = Solver::new();
+        let vars: Vec<Var> = (0..nv).map(|_| inc.new_var()).collect();
+        let to_lits = |c: &[(usize, bool)]| -> Vec<Lit> {
+            c.iter().map(|&(v, neg)| Lit::new(vars[v], neg)).collect()
+        };
+        for c in &clauses {
+            assert!(inc.add_clause(to_lits(c)));
+        }
+        inc.set_gc_waste_limit(0.0);
+        // Reduce (and so collect) every 200 learnts rather than 4,000.
+        inc.max_learnts = 200;
+
+        let (mut sat, mut unsat, mut binary_reason_gcs) = (0, 0, 0);
+        for round in 0..rounds {
+            let c = planted(&mut rng, 4);
+            assert!(inc.add_clause(to_lits(&c)));
+            clauses.push(c);
+            let assumes: Vec<(usize, bool)> = (0..rng.gen_range(1..=2usize))
+                .map(|_| (rng.gen_range(0..nv), rng.gen_bool(0.5)))
+                .collect();
+            let got = inc.solve_with_assumptions(&to_lits(&assumes)) == SolveResult::Sat;
+            if inc.trail.iter().any(|l| {
+                let v = l.var().index();
+                inc.level[v] > 0
+                    && inc.reason[v] != REASON_NONE
+                    && inc.reason[v] & REASON_BINARY != 0
+            }) {
+                binary_reason_gcs += 1;
+            }
+            inc.force_gc();
+
+            let mut with_units = clauses.clone();
+            with_units.extend(assumes.iter().map(|&a| vec![a]));
+            let mut fresh = Solver::new();
+            let fv: Vec<Var> = (0..nv).map(|_| fresh.new_var()).collect();
+            let mut ok = true;
+            for c in &with_units {
+                ok &= fresh.add_clause(c.iter().map(|&(v, neg)| Lit::new(fv[v], neg)));
+            }
+            let expected = ok && fresh.solve() == Some(true);
+            assert_eq!(got, expected, "round {round}: verdict assuming {assumes:?}");
+            if got {
+                sat += 1;
+                for c in &with_units {
+                    assert!(
+                        c.iter().any(|&(v, neg)| inc.value(vars[v]) == Some(!neg)),
+                        "round {round}: model violates {c:?}"
+                    );
+                }
+            } else {
+                unsat += 1;
+            }
+        }
+        let gcs = inc.stats().arena_gcs as usize;
+        assert!(
+            binary_reason_gcs > rounds * 9 / 10,
+            "{binary_reason_gcs} of {rounds} collections ran with binary reasons on the trail"
+        );
+        assert!(gcs > rounds, "no collection ran mid-search ({gcs} in all)");
+        assert!(sat > 0 && unsat > 0, "{sat} sat and {unsat} unsat queries");
     }
 
     /// Property behind the incremental verifier: repeatedly solving one

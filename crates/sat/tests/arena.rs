@@ -156,6 +156,77 @@ fn clause_set(text: &str) -> Vec<Vec<i64>> {
     cs
 }
 
+/// Binary problem clauses live only in the watch lists: adding them counts
+/// in `num_clauses` but takes no arena bytes, while a ternary clause takes
+/// a 1-word header plus its literals.
+#[test]
+fn binary_problem_clauses_take_no_arena_bytes() {
+    let mut s = Solver::new();
+    let chain: Vec<Lit> = (0..40).map(|_| Lit::pos(s.new_var())).collect();
+    for w in chain.windows(2) {
+        assert!(s.add_clause([!w[0], w[1]]));
+    }
+    assert_eq!(s.num_clauses(), 39);
+    assert_eq!(s.stats().arena_bytes, 0);
+    assert!(s.add_clause([chain[0], chain[1], chain[2]]));
+    assert_eq!(s.num_clauses(), 40);
+    assert_eq!(s.stats().arena_bytes, 4 * (1 + 3));
+    assert_eq!(s.solve_with_assumptions(&[chain[0]]), SolveResult::Sat);
+    assert!(chain.iter().all(|&l| s.lit_value(l) == Some(true)));
+    assert_eq!(
+        s.solve_with_assumptions(&[chain[0], !chain[39]]),
+        SolveResult::Unsat
+    );
+}
+
+/// `write_dimacs` lists every problem clause once, binary ones included,
+/// and no learnt clause, and its output parses back to the same clause
+/// set.  The input has no units and no repeated variable inside a clause,
+/// so its clauses reach the solver unchanged, and learnt clauses are the
+/// only other clauses of two or more literals the export could show.
+#[test]
+fn dimacs_export_lists_problem_clauses_once_and_no_learnts() {
+    let mut rng = ph_bits::Rng::seed_from_u64(0xb1_0e4f);
+    let nv = 120usize;
+    let hidden: Vec<bool> = (0..nv).map(|_| rng.gen_bool(0.5)).collect();
+    let mut text = format!("p cnf {nv} {}\n", 150 + 420);
+    for len in std::iter::repeat_n(2, 150).chain(std::iter::repeat_n(3, 420)) {
+        let clause = loop {
+            let mut vs: Vec<usize> = (0..len).map(|_| rng.gen_range(0..nv)).collect();
+            vs.sort_unstable();
+            vs.dedup();
+            let c: Vec<(usize, bool)> = vs.iter().map(|&v| (v, rng.gen_bool(0.5))).collect();
+            if c.len() == len && c.iter().any(|&(v, neg)| hidden[v] != neg) {
+                break c;
+            }
+        };
+        for (v, neg) in clause {
+            let d = v as i64 + 1;
+            text.push_str(&format!("{} ", if neg { -d } else { d }));
+        }
+        text.push_str("0\n");
+    }
+    let (mut s, _) = parse_dimacs(&text).unwrap();
+    assert_eq!(s.num_clauses(), 570);
+    for _ in 0..20 {
+        let assumes: Vec<Lit> = (0..4)
+            .map(|_| Lit::new(Var(rng.gen_range(0..nv) as u32), rng.gen_bool(0.5)))
+            .collect();
+        let _ = s.solve_with_assumptions(&assumes);
+    }
+    assert!(s.stats().learnts > 0, "the session learnt nothing");
+    let out = write_dimacs(&s);
+    let multi_literal =
+        |cs: Vec<Vec<i64>>| -> Vec<Vec<i64>> { cs.into_iter().filter(|c| c.len() > 1).collect() };
+    assert_eq!(
+        multi_literal(clause_set(&out)),
+        clause_set(&text),
+        "the export is not the problem clauses, each once"
+    );
+    let (s2, _) = parse_dimacs(&out).unwrap();
+    assert_eq!(clause_set(&write_dimacs(&s2)), clause_set(&out));
+}
+
 /// DIMACS round-trip across a forced GC: parse → tombstone learnt clauses
 /// by a budgeted solve → force a collection → write → reparse must keep the
 /// clause set and the verdict.
