@@ -77,12 +77,6 @@ impl Lit {
     pub fn from_index(i: usize) -> Lit {
         Lit(i as u32)
     }
-
-    /// The literal's truth value given its variable's assignment.
-    #[inline]
-    pub fn apply(self, var_value: bool) -> bool {
-        var_value ^ self.is_neg()
-    }
 }
 
 impl Not for Lit {
@@ -118,15 +112,6 @@ mod tests {
         assert_eq!(!Lit::pos(v), Lit::neg(v));
         assert_eq!(!Lit::neg(v), Lit::pos(v));
         assert_eq!(Lit::from_index(Lit::neg(v).index()), Lit::neg(v));
-    }
-
-    #[test]
-    fn apply_respects_sign() {
-        let v = Var(0);
-        assert!(Lit::pos(v).apply(true));
-        assert!(!Lit::pos(v).apply(false));
-        assert!(!Lit::neg(v).apply(true));
-        assert!(Lit::neg(v).apply(false));
     }
 
     #[test]
