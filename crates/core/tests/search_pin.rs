@@ -1,4 +1,4 @@
-//! Search pins: the exact CDCL effort of four single-branch synthesis runs.
+//! Search pins: the exact CDCL effort of five single-branch synthesis runs.
 //!
 //! Synthesis is seeded and `synthesize_one` runs one branch on one thread,
 //! so the conflicts, decisions and propagations of its two solvers are a
@@ -99,5 +99,20 @@ fn multi_keys_diff_fields_tofino_loop_free() {
         (807, 6667, 461_319),
         (98, 2003, 123_381),
         3,
+    );
+}
+
+/// The run that sets the `hard` workload's peak heap: every counterexample
+/// adds a copy of the implementation to the synthesis solver, which ends
+/// with about 260k variables and 2M watches.
+#[test]
+fn sai_v1_r2_tofino_loop_free() {
+    check(
+        "Sai V1 + R2",
+        DeviceProfile::tofino(),
+        LoopMode::LoopFree,
+        (9636, 142_837, 20_880_289),
+        (642, 92_814, 4_768_282),
+        13,
     );
 }
