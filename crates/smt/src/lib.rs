@@ -429,6 +429,7 @@ impl Smt {
             tracer.gauge("smt.gate_vars", self.blaster.stats().gate_vars);
             tracer.gauge("smt.learnts", after.learnts);
             tracer.gauge("smt.arena_bytes", after.arena_bytes);
+            tracer.gauge("smt.watch_bytes", self.sat.watch_bytes() as u64);
         }
         result
     }
